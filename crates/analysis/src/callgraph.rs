@@ -1,11 +1,11 @@
 //! Call-site extraction and workspace call-graph construction.
 //!
 //! Resolution is deliberately conservative: a method call resolves to
-//! *every* workspace function with that name (except a set of generic
-//! names like `push`/`get` that would connect unrelated types), a path
-//! call `Type::method` resolves to the matching impl when one exists,
-//! and anything unresolved is kept as an *external site* that the rules
-//! match against their pattern tables.
+//! *every* workspace method with that name and arity (except a set of
+//! generic names like `push`/`get` that would connect unrelated types),
+//! a path call `Type::method` resolves to the matching impl when one
+//! exists, and anything unresolved is kept as an *external site* that
+//! the rules match against their pattern tables.
 
 use crate::lexer::{Token, TokenKind};
 use crate::parser::FnDef;
@@ -301,6 +301,128 @@ fn receiver_text(idx: &[usize], name_pos: usize, tokens: &[Token]) -> String {
     parts.join(" ")
 }
 
+/// Number of arguments of the call whose name token is `tokens[name]`:
+/// the non-empty, top-level comma-separated segments between its parens,
+/// past an optional turbofish. Commas inside brackets, turbofish generics
+/// and closure parameter lists do not count. `None` when the parens
+/// cannot be matched.
+fn call_arg_count(tokens: &[Token], name: usize) -> Option<usize> {
+    let mut toks = tokens
+        .get(name + 1..)?
+        .iter()
+        .filter(|t| t.kind != TokenKind::Comment)
+        .peekable();
+    if toks.peek().is_some_and(|t| t.is_punct(':')) {
+        // Turbofish: `::<…>`.
+        let mut angle = 0i32;
+        for t in toks.by_ref() {
+            if t.is_punct('<') {
+                angle += 1;
+            } else if t.is_punct('>') {
+                angle -= 1;
+                if angle == 0 {
+                    break;
+                }
+            }
+        }
+    }
+    if !toks.next()?.is_punct('(') {
+        return None;
+    }
+    // Expected closers of the brackets open inside the argument list.
+    let mut open: Vec<&str> = Vec::new();
+    let mut args = 0usize;
+    let mut arg_started = false;
+    let mut closure_params = false;
+    let (mut prev, mut prev2) = ("", "");
+    for t in toks {
+        let text = t.text.as_str();
+        if closure_params {
+            closure_params = text != "|";
+        } else if t.kind == TokenKind::Punct {
+            match text {
+                "(" => open.push(")"),
+                "[" => open.push("]"),
+                "{" => open.push("}"),
+                "<" if open.last() == Some(&">") || (prev == ":" && prev2 == ":") => open.push(">"),
+                ">" if open.last() == Some(&">") && prev != "-" => {
+                    open.pop();
+                }
+                ")" | "]" | "}" => match open.pop() {
+                    Some(closer) if closer == text => {}
+                    None if text == ")" => return Some(args + usize::from(arg_started)),
+                    _ => return None,
+                },
+                "," if open.is_empty() => {
+                    args += 1;
+                    arg_started = false;
+                    (prev2, prev) = (prev, text);
+                    continue;
+                }
+                "|" if open.is_empty() && (!arg_started || matches!(prev, "move" | "&")) => {
+                    closure_params = true;
+                }
+                _ => {}
+            }
+        }
+        arg_started = true;
+        (prev2, prev) = (prev, text);
+    }
+    None
+}
+
+/// Whether a fn takes `self`, and how many parameters it takes besides,
+/// read from its [`FnDef::signature`] (`fn name <…> ( … ) …`, tokens
+/// space-joined). `None` when there is no parameter list to read.
+fn self_and_params(signature: &str) -> Option<(bool, usize)> {
+    let toks: Vec<&str> = signature.split_whitespace().collect();
+    let mut i = 2; // past `fn name`
+    let mut depth = 0i32;
+    if toks.get(i) == Some(&"<") {
+        // Generic parameters, which may hold `Fn(…) -> T` bounds.
+        loop {
+            match *toks.get(i)? {
+                "<" => depth += 1,
+                ">" if toks[i - 1] != "-" => depth -= 1,
+                _ => {}
+            }
+            i += 1;
+            if depth == 0 {
+                break;
+            }
+        }
+    }
+    if toks.get(i) != Some(&"(") {
+        return None;
+    }
+    let mut params = 0usize;
+    let mut param_started = false;
+    let mut in_pattern = true;
+    let mut takes_self = false;
+    for k in i + 1..toks.len() {
+        match toks[k] {
+            "(" | "[" | "<" => depth += 1,
+            ")" if depth == 0 => {
+                let n = params + usize::from(param_started);
+                return Some((takes_self, n - usize::from(takes_self)));
+            }
+            ")" | "]" => depth -= 1,
+            ">" if toks[k - 1] != "-" => depth -= 1,
+            "," if depth == 0 => {
+                params += 1;
+                param_started = false;
+                in_pattern = false;
+                continue;
+            }
+            ":" if depth == 0 => in_pattern = false,
+            "self" if in_pattern => takes_self = true,
+            _ => {}
+        }
+        param_started = true;
+    }
+    None
+}
+
 /// Scans a token stream for `analysis:resolve(Type::method)` comments.
 /// A pin forces name resolution of a matching call site on its own
 /// line (trailing comment) or the next line (comment above) to the
@@ -365,6 +487,11 @@ impl CallGraph {
         // `analysis:resolve(Type::method)` pins, per file.
         let pins: Vec<HashMap<u32, String>> =
             files.iter().map(|toks| resolution_pins(toks)).collect();
+        let arity: Vec<Option<(bool, usize)>> = g
+            .fns
+            .iter()
+            .map(|f| self_and_params(&f.def.signature))
+            .collect();
         // Resolve sites to edges.
         for fx in 0..g.fns.len() {
             let file = g.fns[fx].def.file;
@@ -372,7 +499,20 @@ impl CallGraph {
             for (sx, site) in g.fns[fx].sites.iter().enumerate() {
                 let callees = match g.pinned_target(&pins[file], site) {
                     Some(ids) => ids,
-                    None => g.resolve(site),
+                    None => {
+                        let mut ids = g.resolve(site);
+                        // `.name(…)` can only call a method taking as many
+                        // arguments; keep every candidate when either
+                        // count is unreadable.
+                        if site.kind == SiteKind::Method {
+                            if let Some(args) = call_arg_count(&files[file], site.tok) {
+                                ids.retain(|&id| {
+                                    arity[id].is_none_or(|(takes_self, n)| takes_self && n == args)
+                                });
+                            }
+                        }
+                        ids
+                    }
                 };
                 if !callees.is_empty() {
                     edges.push((sx, callees));
@@ -404,7 +544,9 @@ impl CallGraph {
         )
     }
 
-    /// Workspace fns a site may call (empty = external).
+    /// Workspace fns a site may call (empty = external). Method sites
+    /// resolve by name here; [`CallGraph::build`], which has the call's
+    /// tokens, narrows them further to fns of matching arity.
     pub fn resolve(&self, site: &Site) -> Vec<usize> {
         match site.kind {
             SiteKind::Index => Vec::new(),
@@ -592,6 +734,45 @@ mod tests {
             .collect();
         assert!(resolved.contains(&g.roots("InMemory::append")[0]));
         assert!(resolved.contains(&g.roots("other")[0]));
+    }
+
+    #[test]
+    fn method_site_skips_associated_fn_without_self() {
+        // `m.row(i)` cannot call an associated `fn row(n)` — only a
+        // method taking `self` and one argument.
+        let g = graph(
+            "impl Topology { fn row(n: usize) -> Self { Topology } }\n\
+             impl Matrix { fn row(&self, i: usize) -> f64 { 0.0 } }\n\
+             fn caller(m: &Matrix) { m.row(1); }",
+        );
+        let caller = g.roots("caller")[0];
+        let resolved: Vec<usize> = g.fns[caller]
+            .edges
+            .iter()
+            .flat_map(|(_, ids)| ids.clone())
+            .collect();
+        assert_eq!(resolved, g.roots("Matrix::row"));
+    }
+
+    #[test]
+    fn method_site_skips_method_with_other_parameter_count() {
+        // Three arguments — commas inside the closure's parameters and
+        // the turbofish do not count — so the two-parameter `run` is not
+        // a candidate; the three-parameter one (generic `Fn` bound and
+        // a comma in a parameter type) is.
+        let g = graph(
+            "impl Fleet { fn run(self, minutes: usize, sink: Option<u8>) {} }\n\
+             impl Policy { fn run<F: Fn(u8, u8) -> u8>(&self, a: u8, f: F, m: Map<u8, u8>) {} }\n\
+             fn caller(x: &Policy) { x.run(1, |p, q| p + q, Map::<u8, u8>::new()); }",
+        );
+        let caller = g.roots("caller")[0];
+        let resolved: Vec<usize> = g.fns[caller]
+            .edges
+            .iter()
+            .flat_map(|(_, ids)| ids.clone())
+            .collect();
+        assert_eq!(resolved, g.roots("Policy::run"));
+        assert!(!resolved.contains(&g.roots("Fleet::run")[0]));
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! back to the next older file.
 //!
 //! All raw byte-level deserialization in this crate is confined to the
-//! CRC-checked [`ByteReader`] here — the `no-unframed-checkpoint-read`
+//! CRC-checked `ByteReader` here — the `no-unframed-checkpoint-read`
 //! lint (`cargo xtask lint`) enforces that nothing else in `tesla-core`
 //! parses checkpoint bytes ad hoc.
 

@@ -33,8 +33,10 @@
 //!   checkpointing, and resume that is bit-identical from the restored
 //!   cursor (falling back to the `HoldLastSafe` posture when no valid
 //!   checkpoint survives).
-//! * [`runtime`] — the §4-faithful threaded producer/consumer deployment
-//!   over a message queue, with safe-mode fallback when the consumer dies.
+//! * [`runtime`] — the §4-faithful threaded producer/consumer deployment:
+//!   the supervised engine on the producer side, the controller on a
+//!   consumer thread behind a channel, with safe-mode fallback when the
+//!   consumer dies.
 //! * [`supervisor`] — the robustness layer: decision watchdog, retrying
 //!   Modbus writes, and a three-rung degradation ladder
 //!   (normal → hold-last-safe → `S_min` safe mode) with hysteresis, plus

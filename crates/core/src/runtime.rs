@@ -8,34 +8,30 @@
 //! and runs it through TESLA … TESLA writes the value in the register of
 //! ACU's PID controller."
 //!
-//! Here the producer thread owns the testbed (stepping physics and
-//! collecting observations into the shared [`MetricStore`] — the in-RAM
-//! `TsdbStore` or the durable `tesla_historian::Historian`) and the
-//! consumer thread owns the controller; set-points travel back on a
-//! second channel and are applied before the next sampling period.
+//! Here the producer is the supervised episode engine ([`ZoneEpisode`])
+//! on the calling thread: it owns the testbed, collects every raw
+//! observation into the shared [`MetricStore`], and sanitizes, scores
+//! and supervises each minute exactly like
+//! [`crate::run_supervised_episode`]. The consumer thread owns the
+//! controller: each minute the producer sends it the sanitized trace over
+//! a bounded channel and waits for the decided set-point.
 //!
-//! Robustness (this reproduction's supervised extension): telemetry
-//! snapshots are pushed with the queue's drop-oldest policy so a stalled
-//! consumer can never block the producer; set-point writes go through the
-//! supervisor's retrying Modbus path; and if the consumer dies (panic or
-//! hang-up) the producer *continues the episode at the safe-mode
-//! set-point* instead of aborting — a dead optimizer must not mean dead
-//! cooling control.
+//! If the consumer dies (panic or hang-up) or stops answering, the
+//! producer *continues the episode at the safe-mode set-point* instead of
+//! aborting — a dead optimizer must not mean dead cooling control.
 
 use crate::controller::Controller;
-use crate::dataset::push_observation;
+use crate::engine::ZoneEpisode;
 use crate::experiment::{EpisodeConfig, EvalResult};
 use crate::supervisor::{StressReason, Supervisor, SupervisorConfig};
 use crate::CoreError;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::Duration;
 use tesla_forecast::Trace;
-use tesla_sim::Testbed;
-use tesla_telemetry::{Collector, MetricStore, TelemetryQueue};
-use tesla_units::{Celsius, NOMINAL_SETPOINT};
-use tesla_workload::{DiurnalProfile, Orchestrator};
+use tesla_sim::{CoolingPlant, Observation, SimError, Testbed};
+use tesla_telemetry::{Collector, MetricStore};
+use tesla_units::Celsius;
 
 /// How long the producer waits for a decision before treating the
 /// consumer as lost. Generous: a blown budget here means the thread is
@@ -46,10 +42,14 @@ const DECISION_WAIT: Duration = Duration::from_secs(60);
 /// additionally collected into `store` (the InfluxDB stand-in), which the
 /// caller can inspect afterwards.
 ///
-/// A consumer that panics or hangs up mid-episode is survived: the
-/// producer escalates straight to safe mode and finishes the episode at
-/// the safe set-point, reporting the time spent there in
-/// [`EvalResult::safe_mode_minutes`].
+/// Each minute runs as in [`crate::run_supervised_episode`] with
+/// `SupervisorConfig { d_allowed, ..Default::default() }`, so a controller
+/// whose decisions ignore wall-clock time gives the same [`EvalResult`].
+///
+/// A consumer that panics, hangs up, or stays silent for 60 s is
+/// survived: the producer escalates straight to safe mode at that minute
+/// and finishes the episode at the safe set-point, reporting the time
+/// spent there in [`EvalResult::safe_mode_minutes`].
 pub fn run_episode_threaded(
     mut controller: Box<dyn Controller>,
     config: &EpisodeConfig,
@@ -57,273 +57,107 @@ pub fn run_episode_threaded(
 ) -> Result<EvalResult, CoreError> {
     let mut testbed = Testbed::new(config.sim.clone(), config.seed)?;
     testbed.set_fault_plan(config.faults.clone());
-    let mut orch = Orchestrator::with_placement(config.sim.n_servers, config.placement);
-    let mut profile = DiurnalProfile::new(config.setting, config.minutes as f64 * 60.0);
-    let mut rng = StdRng::seed_from_u64(config.seed ^ 0xEE);
     let mut supervisor = Supervisor::new(SupervisorConfig {
         d_allowed: config.d_allowed,
         ..SupervisorConfig::default()
     });
-
     controller.reset();
-    testbed.write_setpoint(NOMINAL_SETPOINT);
-
-    // Queue of telemetry snapshots (producer → consumer) and decided
-    // set-points (consumer → producer). Capacity 4: bounded backpressure,
-    // drop-oldest on overflow.
-    let obs_q: TelemetryQueue<Trace> = TelemetryQueue::new(4);
-    let sp_q: TelemetryQueue<f64> = TelemetryQueue::new(4);
-
-    let name = controller.name().to_string();
-    let obs_rx = obs_q.receiver();
-    let sp_tx = sp_q.sender();
+    let (trace_tx, trace_rx) = sync_channel::<Trace>(1);
+    let (sp_tx, sp_rx) = sync_channel::<f64>(1);
+    let mut remote = RemoteController {
+        name: controller.name().to_string(),
+        link: Some((trace_tx, sp_rx)),
+    };
     let consumer = std::thread::spawn(move || {
-        // Consumer: one decision per snapshot, until the producer hangs up.
-        while let Ok(history) = obs_rx.recv() {
-            let sp = controller.decide(&history);
-            if sp_tx.send(sp).is_err() {
+        // One decision per snapshot, until the producer hangs up. A
+        // panic drops `sp_tx`, which the producer sees at once.
+        while let Ok(history) = trace_rx.recv() {
+            if sp_tx.send(controller.decide(&history)).is_err() {
                 break;
             }
         }
     });
 
-    let result = producer_loop(
-        &mut testbed,
-        &mut orch,
-        &mut profile,
-        &mut rng,
-        config,
-        store.as_ref(),
-        &obs_q,
-        &sp_q,
-        &mut supervisor,
-        name,
-    );
-    // Hang up the snapshot queue so the consumer exits, then reap it. A
-    // panicked consumer was already survived by the safe-mode fallback;
-    // the join result is only bookkeeping.
-    drop(obs_q);
-    let _ = consumer.join();
-    result
-}
-
-#[allow(clippy::too_many_arguments)]
-fn producer_loop(
-    testbed: &mut Testbed,
-    orch: &mut Orchestrator,
-    profile: &mut DiurnalProfile,
-    rng: &mut StdRng,
-    config: &EpisodeConfig,
-    store: &dyn MetricStore,
-    obs_q: &TelemetryQueue<Trace>,
-    sp_q: &TelemetryQueue<f64>,
-    supervisor: &mut Supervisor,
-    name: String,
-) -> Result<EvalResult, CoreError> {
-    let mut trace = Trace::with_sensors(config.sim.n_acu_sensors, config.sim.n_dc_sensors);
-
-    for _ in 0..config.warmup_minutes {
-        let target = profile.sample(0.0, rng);
-        let utils = orch.tick(config.sim.sample_period_s, target, rng);
-        let obs = testbed.step_sample(&utils)?;
-        Collector::collect(store, &obs);
-        push_observation(&mut trace, &obs);
-    }
-    let metered_from = trace.len();
-
-    let mut cooling_energy_kwh = 0.0;
-    let mut violations = 0usize;
-    let mut interrupted = 0.0;
-    let mut setpoints = Vec::new();
-    let mut inlet_avg = Vec::new();
-    let mut cold_aisle_max = Vec::new();
-    let mut acu_power = Vec::new();
-    let mut avg_server_power = Vec::new();
-    let mut server_energy_kwh = 0.0;
-    let mut consumer_lost = false;
-
-    let spec = config.sim.setpoint_range();
+    let mut episode = ZoneEpisode::new(Collecting { testbed, store }, config);
+    episode.warmup()?;
     for m in 0..config.minutes {
-        if !consumer_lost {
-            // Producer → consumer: current history snapshot (drop-oldest,
-            // so a wedged consumer can't stall the control loop). Then
-            // consumer → producer: the decided set-point; waiting for the
-            // decision each period mirrors the paper's synchronous
-            // 1-minute control step.
-            let decided = obs_q
-                .push_latest(trace.clone())
-                .ok()
-                .and_then(|_| sp_q.pop_timeout(DECISION_WAIT).ok());
-            match decided {
-                Some(sp) => {
-                    // Clamp to the writable spec (matching the synchronous
-                    // runner's device-side clamp), then write through the
-                    // retrying fault-aware path. A failed write leaves the
-                    // previous set-point latched.
-                    let sp = supervisor.resolve_setpoint(spec.clamp(Celsius::new(sp)));
-                    let _ = supervisor.write_with_retry(testbed, sp);
-                }
-                None => {
-                    // Consumer dead or wedged past any plausible decision
-                    // time: degrade to safe mode for the rest of the
-                    // episode rather than abandoning the plant mid-run.
-                    consumer_lost = true;
-                    supervisor.force_safe_mode(m, StressReason::ConsumerLost);
-                }
-            }
-        }
-        if consumer_lost {
-            // The decision process is gone for good: keep the stress
-            // signal asserted so clean minutes cannot "recover" a
-            // controller that no longer exists, and hold S_min.
+        let mut sp = episode.decide(&mut supervisor, &mut remote);
+        if remote.link.is_none() {
+            // The decision thread is gone for good: escalate at the
+            // minute it was lost, keep the stress signal asserted so
+            // clean minutes cannot "recover" a controller that no longer
+            // exists, and hold S_min.
+            supervisor.force_safe_mode(m, StressReason::ConsumerLost);
             supervisor.note_stress(StressReason::ConsumerLost);
-            let safe = spec.clamp(supervisor.config().safe_setpoint);
-            let _ = supervisor.write_with_retry(testbed, safe);
+            sp = supervisor.config().safe_setpoint;
         }
-
-        let target = profile.sample(m as f64 * 60.0, rng);
-        let utils = orch.tick(config.sim.sample_period_s, target, rng);
-        let obs = testbed.step_sample(&utils)?;
-        Collector::collect(store, &obs);
-
-        cooling_energy_kwh += obs.acu_energy_kwh;
-        if obs.cold_aisle_max > config.d_allowed.value() {
-            violations += 1;
-        }
-        interrupted += obs.interrupted_frac;
-        setpoints.push(testbed.setpoint().value());
-        inlet_avg.push(
-            obs.acu_inlet_temps.iter().sum::<f64>() / obs.acu_inlet_temps.len().max(1) as f64,
-        );
-        cold_aisle_max.push(obs.cold_aisle_max);
-        acu_power.push(obs.acu_power_kw);
-        avg_server_power.push(obs.avg_server_power_kw);
-        server_energy_kwh +=
-            obs.server_powers_kw.iter().sum::<f64>() * config.sim.sample_period_s / 3600.0;
-        push_observation(&mut trace, &obs);
-
-        // Close the supervised minute. Only infrastructure stress (failed
-        // writes, consumer loss) feeds the ladder here: this runtime does
-        // not sanitize sensors, so raw thermal readings are not a reliable
-        // stress signal — thermal- and telemetry-aware supervision lives
-        // in `run_supervised_episode`. Fault-free runs therefore execute
-        // physics identical to the synchronous runner.
-        supervisor.end_of_minute(m, 0.0, Celsius::new(f64::NEG_INFINITY), testbed.setpoint());
+        episode.advance(m, sp, &mut supervisor, false)?;
     }
 
-    Ok(EvalResult {
-        controller: name,
-        setting: config.setting,
-        cooling_energy_kwh,
-        tsv_percent: 100.0 * violations as f64 / config.minutes.max(1) as f64,
-        ci_percent: 100.0 * interrupted / config.minutes.max(1) as f64,
-        setpoints,
-        inlet_avg,
-        cold_aisle_max,
-        acu_power,
-        avg_server_power,
-        server_energy_kwh,
-        trace,
-        metered_from,
-        safe_mode_minutes: supervisor.safe_mode_minutes(),
-    })
+    let result = episode.finish(&remote.name, &supervisor);
+    // Hang up so a live consumer exits, then reap it. A lost one is left
+    // alone: it panicked already, or it is wedged and may never return.
+    if let Some(link) = remote.link {
+        drop(link);
+        let _ = consumer.join();
+    }
+    Ok(result)
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::fixed::FixedController;
-    use tesla_telemetry::{metric, TsdbStore};
-    use tesla_workload::LoadSetting;
+/// The controller as the producer sees it: each decision is shipped to
+/// the consumer thread and awaited for up to [`DECISION_WAIT`].
+struct RemoteController {
+    name: String,
+    /// Channel ends to the consumer; `None` once it is lost.
+    link: Option<(SyncSender<Trace>, Receiver<f64>)>,
+}
 
-    #[test]
-    fn threaded_loop_matches_metrics_shape() {
-        let store = Arc::new(TsdbStore::new());
-        let dyn_store: Arc<dyn MetricStore> = Arc::clone(&store) as _;
-        let cfg = EpisodeConfig {
-            setting: LoadSetting::Medium,
-            minutes: 40,
-            warmup_minutes: 10,
-            seed: 5,
-            ..EpisodeConfig::default()
-        };
-        let result = run_episode_threaded(
-            Box::new(FixedController::new(Celsius::new(23.0))),
-            &cfg,
-            dyn_store,
-        )
-        .unwrap();
-        assert_eq!(result.setpoints.len(), 40);
-        assert!(result.cooling_energy_kwh > 0.0);
-        assert_eq!(result.safe_mode_minutes, 0);
-        // The store saw every sample (warm-up + metered).
-        assert_eq!(store.len(metric::ACU_POWER), 50);
-        assert_eq!(store.len(&metric::dc_temp(0)), 50);
+impl Controller for RemoteController {
+    fn name(&self) -> &str {
+        &self.name
     }
 
-    #[test]
-    fn threaded_and_synchronous_runs_agree_for_memoryless_controllers() {
-        // A fixed controller's decisions don't depend on timing, so both
-        // runtimes must produce identical physics.
-        let store = Arc::new(TsdbStore::new());
-        let cfg = EpisodeConfig {
-            setting: LoadSetting::High,
-            minutes: 30,
-            warmup_minutes: 10,
-            seed: 77,
-            ..EpisodeConfig::default()
-        };
-        let threaded = run_episode_threaded(
-            Box::new(FixedController::new(Celsius::new(24.0))),
-            &cfg,
-            store,
-        )
-        .unwrap();
-        let mut sync_ctrl = FixedController::new(Celsius::new(24.0));
-        let synchronous = crate::experiment::run_episode(&mut sync_ctrl, &cfg).unwrap();
-        assert_eq!(threaded.cooling_energy_kwh, synchronous.cooling_energy_kwh);
-        assert_eq!(threaded.cold_aisle_max, synchronous.cold_aisle_max);
-    }
-
-    /// A controller that panics mid-episode, killing the consumer thread.
-    struct PanickyController {
-        decisions_left: u32,
-    }
-
-    impl Controller for PanickyController {
-        fn name(&self) -> &str {
-            "panicky"
+    fn decide(&mut self, history: &Trace) -> f64 {
+        let reply = self.link.as_ref().and_then(|(tx, rx)| {
+            tx.send(history.clone()).ok()?;
+            rx.recv_timeout(DECISION_WAIT).ok()
+        });
+        if reply.is_none() {
+            // Disconnected or timed out: either way the consumer is lost.
+            self.link = None;
         }
-        fn decide(&mut self, _history: &Trace) -> f64 {
-            if self.decisions_left == 0 {
-                panic!("controller crashed");
-            }
-            self.decisions_left -= 1;
-            24.0
-        }
+        reply.unwrap_or(f64::NAN)
+    }
+}
+
+/// The testbed as the producer drives it: every raw observation, warm-up
+/// and metered alike, is collected into the store before the engine
+/// sanitizes it — the store records what the sensors reported.
+struct Collecting {
+    testbed: Testbed,
+    store: Arc<dyn MetricStore>,
+}
+
+impl CoolingPlant for Collecting {
+    fn n_servers(&self) -> usize {
+        self.testbed.n_servers()
     }
 
-    #[test]
-    fn dead_consumer_degrades_to_safe_mode_instead_of_aborting() {
-        let store = Arc::new(TsdbStore::new());
-        let cfg = EpisodeConfig {
-            setting: LoadSetting::Medium,
-            minutes: 30,
-            warmup_minutes: 10,
-            seed: 5,
-            ..EpisodeConfig::default()
-        };
-        let result = run_episode_threaded(
-            Box::new(PanickyController { decisions_left: 5 }),
-            &cfg,
-            store,
-        )
-        .unwrap();
-        // The episode ran to completion with finite metrics...
-        assert_eq!(result.setpoints.len(), 30);
-        assert!(result.cooling_energy_kwh.is_finite() && result.cooling_energy_kwh > 0.0);
-        // ...and the tail of the run held the safe-mode set-point.
-        assert!(result.safe_mode_minutes > 0, "safe mode must have engaged");
-        assert_eq!(*result.setpoints.last().unwrap(), 20.0);
+    fn setpoint(&self) -> Celsius {
+        self.testbed.setpoint()
+    }
+
+    fn write_setpoint_clamped(&mut self, sp: Celsius) {
+        self.testbed.write_setpoint_clamped(sp);
+    }
+
+    fn try_write_setpoint(&mut self, sp: Celsius) -> Result<Celsius, SimError> {
+        self.testbed.try_write_setpoint(sp)
+    }
+
+    fn step_sample(&mut self, utils: &[f64]) -> Result<Observation, SimError> {
+        let obs = self.testbed.step_sample(utils)?;
+        Collector::collect(self.store.as_ref(), &obs);
+        Ok(obs)
     }
 }

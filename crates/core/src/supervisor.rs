@@ -825,11 +825,11 @@ pub(crate) struct EngineHooks<'a> {
 }
 
 /// Runs one supervised closed-loop episode: telemetry is sanitized by
-/// per-signal [`HealthMonitor`]s before the controller sees it, decisions
-/// run under the watchdog, writes retry, and the degradation ladder
-/// governs what is actually executed. Thermal-safety metrics are scored
-/// on the *ground-truth* cold-aisle temperature, not the possibly-lying
-/// sensors.
+/// per-signal [`tesla_telemetry::HealthMonitor`]s before the controller
+/// sees it, decisions run under the watchdog, writes retry, and the
+/// degradation ladder governs what is actually executed. Thermal-safety
+/// metrics are scored on the *ground-truth* cold-aisle temperature, not
+/// the possibly-lying sensors.
 pub fn run_supervised_episode(
     controller: &mut dyn Controller,
     supervisor: &mut Supervisor,

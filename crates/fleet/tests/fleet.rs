@@ -9,8 +9,7 @@ use tesla_core::{
     SupervisorConfig,
 };
 use tesla_fleet::{Fleet, FleetCheckpointPolicy, FleetConfig, FleetReport, FleetTopology};
-use tesla_historian::MetricStore;
-use tesla_telemetry::TsdbStore;
+use tesla_historian::{Historian, HistorianConfig, MetricStore};
 use tesla_units::{Kilowatts, ZoneId};
 
 fn sweep_trace() -> tesla_forecast::Trace {
@@ -210,7 +209,7 @@ fn snapshot_resume_is_bit_identical() {
     }
     drop(crashed);
 
-    let store: Arc<dyn MetricStore> = Arc::new(TsdbStore::new());
+    let store: Arc<dyn MetricStore> = Arc::new(Historian::in_memory(HistorianConfig::default()));
     let resumed = Fleet::resume(
         small_config(2, minutes, 1),
         controllers(),

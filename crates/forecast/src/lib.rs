@@ -16,9 +16,9 @@
 //!
 //! Every sub-module uses the *direct strategy*: an independent ridge
 //! regression per (output, horizon-step) pair, solved analytically —
-//! `(1 + N_a + N_d) · L` regressions in total, trained in parallel with
-//! rayon. Sub-modules that consume predicted inputs at inference time
-//! (ACU, DCS, energy) use `α = 1` ridge; ASP uses OLS (Table 2).
+//! `(1 + N_a + N_d) · L` regressions in total. Sub-modules that consume
+//! predicted inputs at inference time (ACU, DCS, energy) use `α = 1`
+//! ridge; ASP uses OLS (Table 2).
 //!
 //! [`recursive::RecursiveAr`] implements the Lazic et al. \[20\] baseline:
 //! a single autoregressive OLS model over all signals, rolled out

@@ -85,8 +85,7 @@ impl DcTimeSeriesModel {
     /// Trains all four sub-modules on a trace.
     ///
     /// The sub-modules are independent given the trace (§3.2 trains them
-    /// "separately" on true values), so the two expensive ones are fitted
-    /// on parallel rayon branches.
+    /// "separately" on true values), so each is fitted on its own.
     // analysis:setup: model (re)training is the periodic fit phase, sized
     // by history length; the steady-state decide loop only *reads* the
     // fitted model through prepare()/predict().
@@ -94,20 +93,10 @@ impl DcTimeSeriesModel {
         let _fit_timer = tesla_obs::Timer::start(tesla_obs::histogram!("forecast_fit_seconds"));
         let l = config.horizon;
         trace.validate(2 * l + 1)?;
-        let ((asp, energy), (acu, dcs)) = rayon::join(
-            || {
-                (
-                    AspModel::fit(trace, l, config.alpha_asp),
-                    EnergyModel::fit(trace, l, config.alpha_energy),
-                )
-            },
-            || {
-                rayon::join(
-                    || AcuModel::fit(trace, l, config.alpha_acu),
-                    || DcsModel::fit(trace, l, config.alpha_dcs),
-                )
-            },
-        );
+        let asp = AspModel::fit(trace, l, config.alpha_asp);
+        let energy = EnergyModel::fit(trace, l, config.alpha_energy);
+        let acu = AcuModel::fit(trace, l, config.alpha_acu);
+        let dcs = DcsModel::fit(trace, l, config.alpha_dcs);
         Ok(DcTimeSeriesModel {
             asp: asp?,
             acu: acu?,

@@ -562,7 +562,7 @@ impl MetricStore for Historian {
 
     fn range(&self, metric: &str, t0: f64, t1: f64) -> Vec<f64> {
         // Half-open [t0, t1); NaN bounds and empty/reversed intervals
-        // yield empty (the TsdbStore semantics, post range-fix).
+        // yield empty (the MetricStore contract).
         if t0.is_nan() || t1.is_nan() || t0 >= t1 {
             return Vec::new();
         }
@@ -674,6 +674,10 @@ mod tests {
         assert!(h.range("m", 7.0, 3.0).is_empty());
         // Exact boundaries: half-open [t0, t1).
         assert_eq!(h.range("m", 3.0, 7.0), vec![3.0, 4.0, 5.0, 6.0]);
+        assert_eq!(h.range("m", 0.0, 1.0), vec![0.0]); // first sample only
+        assert_eq!(h.range("m", 9.0, 10.0), vec![9.0]); // last sample only
+        let all: Vec<f64> = (0..10).map(|i| i as f64).collect();
+        assert_eq!(h.range("m", -1e9, 1e9), all); // the whole range
     }
 
     #[test]

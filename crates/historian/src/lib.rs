@@ -17,8 +17,9 @@
 //!    in an active block, sealed blocks compress, retention downsamples
 //!    and expires.
 //! 4. [`MetricStore`] — the object-safe trait the rest of the workspace
-//!    writes and queries through, so `TsdbStore` and [`Historian`] are
-//!    interchangeable behind `Arc<dyn MetricStore>`.
+//!    writes and queries through, so callers hold an
+//!    `Arc<dyn MetricStore>` whether the [`Historian`] behind it is
+//!    in-memory or WAL-backed.
 //!
 //! ```
 //! use tesla_historian::{Historian, HistorianConfig, MetricStore};
@@ -76,10 +77,10 @@ impl From<std::io::Error> for HistorianError {
 
 /// The storage interface the TESLA stack writes and queries through.
 ///
-/// Both `tesla-telemetry::TsdbStore` (the in-RAM stand-in) and
-/// [`Historian`] implement it, so the collector, runtime, and forecast
-/// window builders take `Arc<dyn MetricStore>` and run unchanged against
-/// either backend. Semantics every implementation must honor:
+/// [`Historian`] implements it in both its in-memory and WAL-backed
+/// modes, and the collector, runtime, and forecast window builders take
+/// `Arc<dyn MetricStore>`, so test doubles and timing wrappers can stand
+/// in for it. Semantics every implementation must honor:
 ///
 /// - Queries on an unknown metric return empty/`None`/0 — never an error.
 /// - `range` is the half-open window `t0 <= time < t1`; a NaN bound or

@@ -8,25 +8,19 @@
 // per decision is the paper's design, and zero-alloc steady-state
 // scoring is tracked as ROADMAP work.
 use crate::{LinalgError, Result};
-use rayon::prelude::*;
 
 /// A dense, row-major `f64` matrix.
 ///
 /// Sizes in this workload are modest (design matrices of a few thousand
 /// rows and a few dozen columns; GP Gram matrices of a few hundred rows),
 /// so storage is a single `Vec<f64>` and products use a cache-friendly
-/// i-k-j loop, parallelized over rows with rayon once the work is large
-/// enough to amortize the fork/join.
+/// i-k-j loop.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
 }
-
-/// Below this many multiply-adds, `matmul` stays sequential: rayon's
-/// fork/join overhead would dominate.
-const PAR_FLOP_THRESHOLD: usize = 64 * 64 * 64;
 
 impl Matrix {
     /// Creates a `rows x cols` matrix filled with zeros.
@@ -156,34 +150,16 @@ impl Matrix {
             });
         }
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        let flops = self.rows * self.cols * rhs.cols;
-        if flops >= PAR_FLOP_THRESHOLD {
-            let cols = self.cols;
-            let rcols = rhs.cols;
-            out.data
-                .par_chunks_mut(rcols)
-                .enumerate()
-                .for_each(|(i, orow)| {
-                    let arow = &self.data[i * cols..(i + 1) * cols];
-                    for (k, &a) in arow.iter().enumerate() {
-                        let brow = &rhs.data[k * rcols..(k + 1) * rcols];
-                        for (o, &b) in orow.iter_mut().zip(brow) {
-                            *o += a * b;
-                        }
-                    }
-                });
-        } else {
-            for i in 0..self.rows {
-                for k in 0..self.cols {
-                    let a = self[(i, k)];
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let brow = rhs.row(k);
-                    let orow = out.row_mut(i);
-                    for (o, &b) in orow.iter_mut().zip(brow) {
-                        *o += a * b;
-                    }
+        for i in 0..self.rows {
+            for k in 0..self.cols {
+                let a = self[(i, k)];
+                if a == 0.0 {
+                    continue;
+                }
+                let brow = rhs.row(k);
+                let orow = out.row_mut(i);
+                for (o, &b) in orow.iter_mut().zip(brow) {
+                    *o += a * b;
                 }
             }
         }

@@ -1,11 +1,10 @@
 //! Random forest regressor \[26\]: bootstrap-bagged CART trees with
-//! per-split feature subsampling, trained in parallel with rayon.
+//! per-split feature subsampling.
 
 use crate::tree::{RegressionTree, TreeConfig};
 use crate::{Dataset, MlError};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use rayon::prelude::*;
 
 /// Forest hyper-parameters.
 #[derive(Debug, Clone)]
@@ -39,7 +38,7 @@ pub struct RandomForest {
 }
 
 impl RandomForest {
-    /// Trains `config.n_trees` trees on bootstrap resamples, in parallel.
+    /// Trains `config.n_trees` trees on bootstrap resamples.
     pub fn fit(data: &Dataset, config: ForestConfig) -> Result<Self, MlError> {
         if data.is_empty() {
             return Err(MlError::Empty("forest training data"));
@@ -55,7 +54,6 @@ impl RandomForest {
         let n = data.len();
 
         let trees: Result<Vec<RegressionTree>, MlError> = (0..config.n_trees)
-            .into_par_iter()
             .map(|t| {
                 // Independent, deterministic stream per tree.
                 let mut rng = StdRng::seed_from_u64(

@@ -14,8 +14,7 @@
 //!   splits), the shared base learner.
 //! * [`gbt::GradientBoosting`] — gradient-boosted trees with shrinkage
 //!   and row subsampling (the XGBoost stand-in for squared loss).
-//! * [`forest::RandomForest`] — bagged trees with feature subsampling,
-//!   trained in parallel with rayon.
+//! * [`forest::RandomForest`] — bagged trees with feature subsampling.
 //!
 //! All models share the [`Dataset`] container and operate on `f64`
 //! features/targets.

@@ -1,6 +1,8 @@
 //! Exporters: Prometheus text format and JSON, from a registry snapshot.
 
-use crate::registry::{bucket_bounds, MetricSample, MetricsRegistry, SampleValue};
+use crate::registry::{
+    bucket_bounds, quantile_from_buckets, MetricSample, MetricsRegistry, SampleValue,
+};
 use std::io::{self, Write};
 
 /// Renders the registry in the Prometheus text exposition format
@@ -181,24 +183,6 @@ fn json_f64(v: f64) -> String {
     } else {
         "null".to_string()
     }
-}
-
-/// Bucket-midpoint quantile over non-cumulative bucket counts.
-fn quantile_from_buckets(buckets: &[u64], q: f64) -> f64 {
-    let bounds = bucket_bounds();
-    let total: u64 = buckets.iter().sum();
-    if total == 0 {
-        return 0.0;
-    }
-    let rank = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
-    let mut seen = 0u64;
-    for (i, &c) in buckets.iter().enumerate() {
-        seen += c;
-        if seen >= rank {
-            return bounds.get(i).copied().unwrap_or(bounds[bounds.len() - 1]);
-        }
-    }
-    bounds[bounds.len() - 1]
 }
 
 #[cfg(test)]

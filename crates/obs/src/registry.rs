@@ -42,6 +42,27 @@ pub fn bucket_bounds() -> &'static [f64] {
     })
 }
 
+/// Quantile (`0.0 ..= 1.0`) over non-cumulative bucket counts laid out
+/// like [`bucket_bounds`] plus the overflow bucket: the upper bound of
+/// the bucket that holds the target rank (the last bound for overflow),
+/// so it is good to one bucket width. 0 when every count is zero.
+pub(crate) fn quantile_from_buckets(counts: &[u64], q: f64) -> f64 {
+    let bounds = bucket_bounds();
+    let total: u64 = counts.iter().sum();
+    if total == 0 {
+        return 0.0;
+    }
+    let rank = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
+    let mut seen = 0u64;
+    for (i, &c) in counts.iter().enumerate() {
+        seen += c;
+        if seen >= rank {
+            return bounds.get(i).copied().unwrap_or(bounds[bounds.len() - 1]);
+        }
+    }
+    bounds[bounds.len() - 1]
+}
+
 /// Index of the bucket a value falls into (`value <= bound`); values
 /// beyond the last bound land in the overflow bucket.
 fn bucket_index(value: f64) -> usize {
@@ -163,28 +184,10 @@ impl Histogram {
             .collect()
     }
 
-    /// Approximate quantile (`0.0 ..= 1.0`) from the bucket midpoint of
-    /// the bucket containing the target rank. Good to one bucket width.
+    /// Approximate quantile (`0.0 ..= 1.0`): the upper bound of the
+    /// bucket containing the target rank. Good to one bucket width.
     pub fn quantile(&self, q: f64) -> f64 {
-        let counts = self.bucket_counts();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
-        let bounds = bucket_bounds();
-        let mut seen = 0u64;
-        for (i, &c) in counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return if i < bounds.len() {
-                    bounds[i]
-                } else {
-                    bounds[bounds.len() - 1]
-                };
-            }
-        }
-        bounds[bounds.len() - 1]
+        quantile_from_buckets(&self.bucket_counts(), q)
     }
 }
 
@@ -265,6 +268,7 @@ impl MetricsRegistry {
     fn shard_for(&self, key: &SeriesKey) -> &Shard {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
+        // analysis:resolve(Hasher::finish)
         &self.shards[(h.finish() as usize) % N_SHARDS]
     }
 

@@ -53,8 +53,8 @@ pub mod metric {
     }
 }
 
-/// Collects observations into any [`MetricStore`] backend — the in-RAM
-/// [`crate::TsdbStore`] or the durable `tesla_historian::Historian`.
+/// Collects observations into any [`MetricStore`] backend, such as an
+/// in-memory or WAL-backed `tesla_historian::Historian`.
 #[derive(Debug, Default)]
 pub struct Collector;
 
@@ -92,12 +92,12 @@ impl Collector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TsdbStore;
+    use tesla_historian::{Historian, HistorianConfig};
     use tesla_sim::{SimConfig, Testbed};
 
     #[test]
     fn collect_populates_all_metric_families() {
-        let store = TsdbStore::new();
+        let store = Historian::in_memory(HistorianConfig::default());
         let mut tb = Testbed::new(SimConfig::default(), 1).unwrap();
         let utils = vec![0.2; 21];
         for _ in 0..3 {
@@ -118,7 +118,7 @@ mod tests {
 
     #[test]
     fn timestamps_come_from_the_observation() {
-        let store = TsdbStore::new();
+        let store = Historian::in_memory(HistorianConfig::default());
         let mut tb = Testbed::new(SimConfig::default(), 2).unwrap();
         let obs = tb.step_sample(&[0.0; 21]).unwrap();
         Collector::collect(&store, &obs);

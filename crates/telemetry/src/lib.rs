@@ -8,50 +8,39 @@
 //! producer process that pulls windows from InfluxDB and pushes them onto
 //! a message queue, and a consumer process that runs the control pipeline.
 //!
-//! This crate supplies the same interfaces in-memory:
+//! This crate supplies the collection and preprocessing half of that
+//! stack; storage is the `tesla-historian` engine behind its
+//! [`MetricStore`] trait (re-exported here):
 //!
-//! * [`series::TimeSeries`] — an append-only (time, value) column pair
-//!   with window queries.
-//! * [`store::TsdbStore`] — a thread-safe metric-name → series map
-//!   ([`parking_lot::RwLock`] inside, shareable via `Arc`). It implements
-//!   [`tesla_historian::MetricStore`], the storage trait shared with the
-//!   durable `tesla-historian` engine, so either backend can sit behind
-//!   the collector and runtime.
 //! * [`collector::Collector`] — fans one simulator [`tesla_sim::Observation`]
-//!   out into the store under stable metric names.
-//! * [`queue::TelemetryQueue`] — a bounded crossbeam channel pairing the
-//!   producer and consumer halves of the control loop, with an explicit
-//!   drop-oldest policy for slow consumers.
+//!   out into any [`MetricStore`] under stable metric names.
 //! * [`health::HealthMonitor`] — per-signal staleness/range/flatline
 //!   detection with quarantine and imputation, so forecaster windows
 //!   stay full when sensors fail.
 //! * [`normalize::MinMaxNormalizer`] — the paper's preprocessing: all
 //!   signals min-max normalized to `[0, 1]` before modeling (§5.1).
 //!
-//! # Example: window queries over ingested telemetry
+//! # Example: collecting one observation
 //!
 //! ```
-//! use tesla_telemetry::TsdbStore;
+//! use tesla_historian::{Historian, HistorianConfig};
+//! use tesla_sim::{SimConfig, Testbed};
+//! use tesla_telemetry::{metric, Collector, MetricStore};
 //!
-//! let store = TsdbStore::new();
-//! for t in 0..5 {
-//!     store.insert("acu_inlet_c", t as f64 * 60.0, 21.0 + t as f64 * 0.5);
-//! }
-//! assert_eq!(store.last("acu_inlet_c"), Some(23.0));
-//! assert_eq!(store.last_n("acu_inlet_c", 2), vec![22.5, 23.0]);
+//! let store = Historian::in_memory(HistorianConfig::default());
+//! let mut testbed = Testbed::new(SimConfig::default(), 1)?;
+//! let obs = testbed.step_sample(&vec![0.3; testbed.config().n_servers])?;
+//! Collector::collect(&store, &obs);
+//! assert_eq!(store.last(metric::ACU_POWER), Some(obs.acu_power_kw));
+//! assert_eq!(store.len(&metric::dc_temp(0)), 1);
+//! # Ok::<(), tesla_sim::SimError>(())
 //! ```
 
 pub mod collector;
 pub mod health;
 pub mod normalize;
-pub mod queue;
-pub mod series;
-pub mod store;
 
 pub use collector::{metric, Collector};
 pub use health::{HealthConfig, HealthFault, HealthMonitor, SanitizeReport};
 pub use normalize::MinMaxNormalizer;
-pub use queue::TelemetryQueue;
-pub use series::TimeSeries;
-pub use store::TsdbStore;
 pub use tesla_historian::MetricStore;

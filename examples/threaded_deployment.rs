@@ -1,6 +1,6 @@
 //! The §4-faithful deployment: telemetry producer and TESLA consumer as
 //! separate threads over a message queue, with every sample collected
-//! into the in-memory time-series store (the InfluxDB stand-in).
+//! into an in-memory historian (the InfluxDB stand-in).
 //!
 //! ```bash
 //! cargo run --release --example threaded_deployment
@@ -10,7 +10,8 @@ use std::sync::Arc;
 use tesla_core::dataset::{generate_sweep_trace, DatasetConfig};
 use tesla_core::runtime::run_episode_threaded;
 use tesla_core::{EpisodeConfig, TeslaConfig, TeslaController};
-use tesla_telemetry::{metric, MetricStore, TsdbStore};
+use tesla_historian::{Historian, HistorianConfig};
+use tesla_telemetry::{metric, MetricStore};
 use tesla_workload::LoadSetting;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -23,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let train = generate_sweep_trace(&dataset)?;
     let tesla = TeslaController::new(&train, TeslaConfig::default())?;
 
-    let store = Arc::new(TsdbStore::new());
+    let store = Arc::new(Historian::in_memory(HistorianConfig::default()));
     let episode = EpisodeConfig {
         setting: LoadSetting::Medium,
         minutes: 90,

@@ -67,11 +67,6 @@ pub fn workspace_rule_config() -> RuleConfig {
                     recv_substr: "shard".into(),
                 },
                 LockClass {
-                    name: "telemetry.store".into(),
-                    file_substr: "crates/telemetry/".into(),
-                    recv_substr: "inner".into(),
-                },
-                LockClass {
                     name: "obs.registry.shard".into(),
                     file_substr: "crates/obs/".into(),
                     recv_substr: "metrics".into(),
@@ -82,13 +77,8 @@ pub fn workspace_rule_config() -> RuleConfig {
                     recv_substr: "ring".into(),
                 },
             ],
-            // Outermost first. The telemetry facade wraps the
-            // historian engine (TsdbStore methods hold `inner` while
-            // delegating into Series/Historian reads), so its lock is
-            // legitimately outer; nothing in the historian crate calls
-            // back up into telemetry.
+            // Outermost first.
             order: vec![
-                "telemetry.store".into(),
                 "historian.shard".into(),
                 "obs.registry.shard".into(),
                 "obs.trace.ring".into(),

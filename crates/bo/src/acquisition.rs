@@ -10,99 +10,138 @@
 //! scores the candidate's improvement; the NEI value is the QMC average.
 
 // analysis:allow-file(panic-free-control-path): MC scoring indexes
-// draws shaped (n_mc, len(points)) by construction.
-// analysis:allow-file(no-alloc-in-decide-steady-state): QMC normal
-// blocks and posterior draws are per-scoring-call buffers bounded by
-// n_mc * points; reuse across iterations is ROADMAP work.
+// draws shaped (points, n_mc) by construction.
+// analysis:allow-file(no-alloc-in-decide-steady-state): the normals,
+// posterior draws and per-draw references live in `NeiScratch`, sized
+// once per decision and reused across its BO iterations; the
+// convenience `constrained_nei` builds a fresh one per call.
 use crate::BoError;
-use tesla_gp::{qmc_normal_hybrid, FixedNoiseGp, Matern52};
+use tesla_gp::{CandidateSet, FixedNoiseGp, JointScratch, Matern52, QmcNormals};
+
+/// Work buffers of [`constrained_nei_with`], reused across calls.
+#[derive(Debug, Default)]
+pub struct NeiScratch {
+    uniforms: Vec<f64>,
+    normals: Vec<f64>,
+    objective: JointScratch,
+    constraint: JointScratch,
+    /// Each draw's improvement reference.
+    reference: Vec<f64>,
+}
 
 /// Computes constrained-NEI scores for each candidate.
 ///
 /// * `gp_obj` / `gp_con` — fixed-noise GPs over (set-point → objective,
-///   maximized) and (set-point → constraint, feasible iff ≤ 0).
-/// * `observed` — set-points already evaluated this decision.
+///   maximized) and (set-point → constraint, feasible iff ≤ 0), trained
+///   on the same set-points: the observations NEI integrates over.
 /// * `candidates` — set-points to score.
-/// * `n_mc` — QMC sample count.
+/// * `n_mc` — QMC sample count (at least 8 are drawn).
 pub fn constrained_nei(
     gp_obj: &FixedNoiseGp<Matern52>,
     gp_con: &FixedNoiseGp<Matern52>,
-    observed: &[f64],
     candidates: &[f64],
     n_mc: usize,
     seed: u64,
 ) -> Result<Vec<f64>, BoError> {
-    let points: Vec<Vec<f64>> = candidates
-        .iter()
-        .chain(observed.iter())
-        .map(|&s| vec![s])
-        .collect();
-    constrained_nei_prelifted(gp_obj, gp_con, &points, candidates.len(), n_mc, seed)
+    let set = CandidateSet::new(candidates.iter().map(|&s| vec![s]).collect());
+    let mut scores = Vec::new();
+    constrained_nei_with(
+        gp_obj,
+        gp_con,
+        &set,
+        &QmcNormals::new(n_mc.max(8)),
+        seed,
+        &mut NeiScratch::default(),
+        &mut scores,
+    )?;
+    Ok(scores)
 }
 
-/// [`constrained_nei`] over pre-lifted points: `points[..n_candidates]`
-/// are the candidates to score and `points[n_candidates..]` the observed
-/// set-points. Candidates-first ordering lets the optimizer keep ONE
-/// `Vec<Vec<f64>>` buffer for the whole decision — the grid occupies the
-/// fixed prefix and each new observation is appended at the end, so the
-/// per-iteration point-lifting allocation disappears.
-pub fn constrained_nei_prelifted(
+/// [`constrained_nei`] over a prepared candidate set and QMC table, into
+/// reused buffers: the optimizer builds `candidates` and `qmc` once and
+/// calls this every BO iteration. Writes one score per candidate into
+/// `scores`.
+///
+/// Each call draws `qmc.n_draws()` joint samples from each GP at the
+/// candidates plus the observed points (the GPs' own training points),
+/// computes every draw's reference (the best feasible observed value, or
+/// the worst observed one when none is feasible), then sums each
+/// candidate's feasible improvement over the draws in draw order.
+pub fn constrained_nei_with(
     gp_obj: &FixedNoiseGp<Matern52>,
     gp_con: &FixedNoiseGp<Matern52>,
-    points: &[Vec<f64>],
-    n_candidates: usize,
-    n_mc: usize,
+    candidates: &CandidateSet,
+    qmc: &QmcNormals,
     seed: u64,
-) -> Result<Vec<f64>, BoError> {
+    scratch: &mut NeiScratch,
+    scores: &mut Vec<f64>,
+) -> Result<(), BoError> {
+    scores.clear();
+    let n_candidates = candidates.len();
     if n_candidates == 0 {
-        return Ok(Vec::new());
+        return Ok(());
     }
-    if n_candidates > points.len() {
-        return Err(BoError::BadConfig(format!(
-            "{n_candidates} candidates but only {} points",
-            points.len()
-        )));
+    let observed = gp_obj.inputs();
+    let same_points = observed.len() == gp_con.n_train()
+        && observed.iter().zip(gp_con.inputs()).all(|(a, b)| {
+            a.len() == b.len() && a.iter().zip(b).all(|(u, v)| u.to_bits() == v.to_bits())
+        });
+    if !same_points {
+        return Err(BoError::BadConfig(
+            "objective and constraint GPs must share their training points".into(),
+        ));
     }
-    let m = points.len();
+    let m = n_candidates + observed.len();
+    let n = qmc.n_draws();
+    if n == 0 {
+        return Err(BoError::BadConfig("the QMC block has no draws".into()));
+    }
+    let s = scratch;
 
-    let normals_obj = qmc_normal_hybrid(n_mc.max(8), m, seed);
-    let normals_con = qmc_normal_hybrid(n_mc.max(8), m, seed ^ 0xDEADBEEF);
-    let draws_obj = gp_obj.sample_posterior(points, &normals_obj)?;
-    let draws_con = gp_con.sample_posterior(points, &normals_con)?;
+    qmc.fill(m, seed, &mut s.uniforms, &mut s.normals);
+    gp_obj.sample_joint(candidates, &s.normals, n, &mut s.objective)?;
+    qmc.fill(m, seed ^ 0xDEADBEEF, &mut s.uniforms, &mut s.normals);
+    gp_con.sample_joint(candidates, &s.normals, n, &mut s.constraint)?;
+    let (obj, con) = (s.objective.draws(), s.constraint.draws());
 
-    let mut scores = vec![0.0; n_candidates];
-    for (sample_o, sample_c) in draws_obj.iter().zip(&draws_con) {
-        // Feasible incumbent under this realization.
+    // Feasible incumbent under each realization.
+    s.reference.clear();
+    for d in 0..n {
         let mut incumbent = f64::NEG_INFINITY;
         let mut any_feasible = false;
         let mut worst = f64::INFINITY;
         for i in n_candidates..m {
-            worst = worst.min(sample_o[i]);
-            if sample_c[i] <= 0.0 {
+            let o = obj[i * n + d];
+            worst = worst.min(o);
+            if con[i * n + d] <= 0.0 {
                 any_feasible = true;
-                incumbent = incumbent.max(sample_o[i]);
+                incumbent = incumbent.max(o);
             }
         }
         // With no feasible incumbent, improvement is measured against the
         // worst observed value so feasibility itself is rewarded.
-        let reference = if any_feasible {
+        s.reference.push(if any_feasible {
             incumbent
         } else if worst.is_finite() {
             worst
         } else {
             0.0
-        };
-        for (score, (&o, &c)) in scores.iter_mut().zip(sample_o.iter().zip(sample_c)) {
+        });
+    }
+    for (o, c) in obj
+        .chunks_exact(n)
+        .zip(con.chunks_exact(n))
+        .take(n_candidates)
+    {
+        let mut score = 0.0;
+        for ((&o, &c), &reference) in o.iter().zip(c).zip(&s.reference) {
             if c <= 0.0 {
-                *score += (o - reference).max(0.0);
+                score += (o - reference).max(0.0);
             }
         }
+        scores.push(score / n as f64);
     }
-    let n = draws_obj.len() as f64;
-    for s in &mut scores {
-        *s /= n;
-    }
-    Ok(scores)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -112,7 +151,7 @@ mod tests {
 
     /// GP pair for a simple 1-D problem on \[0, 10\]:
     /// objective f(s) = −(s − 7)², constraint c(s) = s − 8 (feasible s ≤ 8).
-    fn fixture() -> (FixedNoiseGp<Matern52>, FixedNoiseGp<Matern52>, Vec<f64>) {
+    fn fixture() -> (FixedNoiseGp<Matern52>, FixedNoiseGp<Matern52>) {
         let xs: Vec<f64> = vec![0.0, 2.0, 4.0, 6.0, 8.0, 10.0];
         let pts: Vec<Vec<f64>> = xs.iter().map(|&v| vec![v]).collect();
         let obj: Vec<f64> = xs.iter().map(|&s| -(s - 7.0) * (s - 7.0)).collect();
@@ -120,14 +159,14 @@ mod tests {
         let noise = vec![1e-4; xs.len()];
         let gp_o = FixedNoiseGp::fit(Matern52::new(2.0, 25.0), pts.clone(), &obj, &noise).unwrap();
         let gp_c = FixedNoiseGp::fit(Matern52::new(2.0, 25.0), pts, &con, &noise).unwrap();
-        (gp_o, gp_c, xs)
+        (gp_o, gp_c)
     }
 
     #[test]
     fn prefers_the_feasible_optimum_region() {
-        let (gp_o, gp_c, xs) = fixture();
+        let (gp_o, gp_c) = fixture();
         let candidates = vec![1.0, 3.0, 5.0, 7.0, 9.0];
-        let scores = constrained_nei(&gp_o, &gp_c, &xs, &candidates, 128, 1).unwrap();
+        let scores = constrained_nei(&gp_o, &gp_c, &candidates, 128, 1).unwrap();
         // s = 7 is the feasible optimum; it must out-score the far-left
         // candidates and the infeasible s = 9.
         let best = scores
@@ -141,24 +180,24 @@ mod tests {
 
     #[test]
     fn infeasible_candidates_score_near_zero() {
-        let (gp_o, gp_c, xs) = fixture();
-        let scores = constrained_nei(&gp_o, &gp_c, &xs, &[9.5], 128, 2).unwrap();
+        let (gp_o, gp_c) = fixture();
+        let scores = constrained_nei(&gp_o, &gp_c, &[9.5], 128, 2).unwrap();
         assert!(scores[0] < 0.5, "infeasible candidate scored {}", scores[0]);
     }
 
     #[test]
     fn empty_candidates_ok() {
-        let (gp_o, gp_c, xs) = fixture();
-        assert!(constrained_nei(&gp_o, &gp_c, &xs, &[], 64, 3)
+        let (gp_o, gp_c) = fixture();
+        assert!(constrained_nei(&gp_o, &gp_c, &[], 64, 3)
             .unwrap()
             .is_empty());
     }
 
     #[test]
     fn deterministic_given_seed() {
-        let (gp_o, gp_c, xs) = fixture();
-        let a = constrained_nei(&gp_o, &gp_c, &xs, &[5.0, 7.0], 64, 9).unwrap();
-        let b = constrained_nei(&gp_o, &gp_c, &xs, &[5.0, 7.0], 64, 9).unwrap();
+        let (gp_o, gp_c) = fixture();
+        let a = constrained_nei(&gp_o, &gp_c, &[5.0, 7.0], 64, 9).unwrap();
+        let b = constrained_nei(&gp_o, &gp_c, &[5.0, 7.0], 64, 9).unwrap();
         assert_eq!(a, b);
     }
 
@@ -166,14 +205,42 @@ mod tests {
     fn all_observed_infeasible_still_rewards_feasible_candidates() {
         // Observations only in the infeasible region; a feasible candidate
         // should still get a positive score.
-        let xs = vec![8.5, 9.0, 9.5];
+        let xs = [8.5, 9.0, 9.5];
         let pts: Vec<Vec<f64>> = xs.iter().map(|&v| vec![v]).collect();
         let obj: Vec<f64> = xs.iter().map(|&s| -(s - 7.0) * (s - 7.0)).collect();
         let con: Vec<f64> = xs.iter().map(|&s| s - 8.0).collect();
         let noise = vec![1e-4; 3];
         let gp_o = FixedNoiseGp::fit(Matern52::new(2.0, 25.0), pts.clone(), &obj, &noise).unwrap();
         let gp_c = FixedNoiseGp::fit(Matern52::new(2.0, 25.0), pts, &con, &noise).unwrap();
-        let scores = constrained_nei(&gp_o, &gp_c, &xs, &[7.0], 128, 4).unwrap();
+        let scores = constrained_nei(&gp_o, &gp_c, &[7.0], 128, 4).unwrap();
         assert!(scores[0] > 0.0);
+    }
+
+    #[test]
+    fn gps_over_different_points_are_rejected() {
+        let (gp_o, _) = fixture();
+        let pts = vec![vec![1.0], vec![3.0]];
+        let gp_c =
+            FixedNoiseGp::fit(Matern52::new(2.0, 25.0), pts, &[0.0, 1.0], &[1e-4; 2]).unwrap();
+        assert!(constrained_nei(&gp_o, &gp_c, &[5.0], 64, 1).is_err());
+    }
+
+    #[test]
+    fn reused_scratch_gives_the_same_scores() {
+        let (gp_o, gp_c) = fixture();
+        let cands = CandidateSet::new(vec![vec![3.0], vec![5.0], vec![7.0]]);
+        let qmc = QmcNormals::new(64);
+        let mut scratch = NeiScratch::default();
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        constrained_nei_with(&gp_o, &gp_c, &cands, &qmc, 5, &mut scratch, &mut a).unwrap();
+        // A larger call in between leaves no stale state behind.
+        let wide = CandidateSet::new((0..20).map(|i| vec![i as f64 * 0.5]).collect());
+        constrained_nei_with(&gp_o, &gp_c, &wide, &qmc, 6, &mut scratch, &mut b).unwrap();
+        constrained_nei_with(&gp_o, &gp_c, &cands, &qmc, 5, &mut scratch, &mut b).unwrap();
+        assert_eq!(a, b);
+        assert_eq!(
+            a,
+            constrained_nei(&gp_o, &gp_c, &[3.0, 5.0, 7.0], 64, 5).unwrap()
+        );
     }
 }

@@ -18,21 +18,24 @@
 //! * tracks both GP hyper grids incrementally with
 //!   [`tesla_gp::MaternHyperSearch`] — each new observation is a rank-1
 //!   Cholesky row append per grid candidate, not a refactorization;
-//! * keeps one candidates-first point buffer for the whole decision
-//!   (grid prefix + appended observations) shared by the NEI scorer and
-//!   the final selection, which itself runs as a single batched
-//!   posterior solve over grid and evaluated points together.
+//! * scores NEI on a candidate grid built once, in
+//!   [`BayesianOptimizer::new`], together with its table of distinct
+//!   pairwise distances and the tabulated Sobol prefix of its QMC draws;
+//!   the scorer's buffers are sized once per decision and reused by
+//!   every iteration;
+//! * runs the final selection as batched posterior solves over the grid
+//!   and the evaluated points.
 
 // analysis:allow-file(panic-free-control-path): BO loop indices are
 // bounded by the grid/design sizes it just built; eval results are
 // length-checked before use.
 // analysis:allow-file(no-alloc-in-decide-steady-state): one BO run
-// per decision builds its design, grid, and observation vectors
-// fresh — bounded by n_init/n_grid/n_iter config; per-decision
+// per decision builds its design, observation vectors and scorer
+// buffers fresh — bounded by n_init/n_grid/n_iter config; per-decision
 // allocation is the paper's design.
-use crate::acquisition::constrained_nei_prelifted;
+use crate::acquisition::{constrained_nei_with, NeiScratch};
 use crate::BoError;
-use tesla_gp::{normal_cdf, MaternHyperSearch, SobolSequence};
+use tesla_gp::{normal_cdf, CandidateSet, MaternHyperSearch, QmcNormals, SobolSequence};
 
 /// Optimizer configuration.
 #[derive(Debug, Clone)]
@@ -92,6 +95,12 @@ pub struct BoOutcome {
 #[derive(Debug, Clone)]
 pub struct BayesianOptimizer {
     config: BoConfig,
+    /// The candidate grid over the bounds, `n_grid` points.
+    grid: Vec<f64>,
+    /// The grid lifted to points, with its distinct pairwise distances.
+    candidates: CandidateSet,
+    /// QMC normals for `n_mc` (at least 8) draws per NEI call.
+    qmc: QmcNormals,
 }
 
 impl BayesianOptimizer {
@@ -115,7 +124,18 @@ impl BayesianOptimizer {
                 "lengthscale grid must be non-empty".into(),
             ));
         }
-        Ok(BayesianOptimizer { config })
+        let (lo, hi) = config.bounds;
+        let grid: Vec<f64> = (0..config.n_grid)
+            .map(|i| lo + (hi - lo) * i as f64 / (config.n_grid - 1) as f64)
+            .collect();
+        let candidates = CandidateSet::new(grid.iter().map(|&s| vec![s]).collect());
+        let qmc = QmcNormals::new(config.n_mc.max(8));
+        Ok(BayesianOptimizer {
+            config,
+            grid,
+            candidates,
+            qmc,
+        })
     }
 
     /// The configuration.
@@ -213,17 +233,8 @@ impl BayesianOptimizer {
         acq_evals.add(xs.len() as u64);
         let mut ys_obj: Vec<f64> = init.iter().map(|&(o, _)| o).collect();
         let mut ys_con: Vec<f64> = init.iter().map(|&(_, c)| c).collect();
-
-        let grid: Vec<f64> = (0..self.config.n_grid)
-            .map(|i| lo + span * i as f64 / (self.config.n_grid - 1) as f64)
-            .collect();
-
-        // The decision's single point buffer: grid candidates first, every
-        // evaluated set-point appended after. The NEI scorer and the final
-        // batched posterior both read from it; nothing is re-lifted.
-        let mut pts: Vec<Vec<f64>> = Vec::with_capacity(grid.len() + xs.len() + self.config.n_iter);
-        pts.extend(grid.iter().map(|&s| vec![s]));
-        pts.extend(xs.iter().map(|&s| vec![s]));
+        let grid = &self.grid;
+        let observed: Vec<Vec<f64>> = xs.iter().map(|&s| vec![s]).collect();
 
         // Per-point noise and the output-scale grids are frozen once per
         // decision (from the initial design); the incremental hyper
@@ -235,14 +246,14 @@ impl BayesianOptimizer {
             vec![var * 0.3, var, var * 3.0]
         };
         let mut search_o = MaternHyperSearch::new(
-            pts[grid.len()..].to_vec(),
+            observed.clone(),
             ys_obj.clone(),
             vec![nv_o; xs.len()],
             &self.config.lengthscales,
             &os_grid(&ys_obj),
         )?;
         let mut search_c = MaternHyperSearch::new(
-            pts[grid.len()..].to_vec(),
+            observed,
             ys_con.clone(),
             vec![nv_c; xs.len()],
             &self.config.lengthscales,
@@ -250,17 +261,22 @@ impl BayesianOptimizer {
         )?;
 
         // BO loop: fit both GPs, score NEI on the grid, evaluate argmax.
+        // The GPs' training points are the evaluated set-points, the
+        // observations NEI integrates over.
         let mut gp_pair = (search_o.select()?, search_c.select()?);
+        let mut scratch = NeiScratch::default();
+        let mut scores = Vec::with_capacity(grid.len());
         let mut iterations_run = 0u64;
         for it in 0..self.config.n_iter {
             iterations_run = it as u64 + 1;
-            let scores = constrained_nei_prelifted(
+            constrained_nei_with(
                 &gp_pair.0,
                 &gp_pair.1,
-                &pts,
-                grid.len(),
-                self.config.n_mc,
+                &self.candidates,
+                &self.qmc,
                 seed ^ (it as u64).wrapping_mul(0x9E3779B97F4A7C15),
+                &mut scratch,
+                &mut scores,
             )?;
             // Argmax not yet evaluated.
             let mut best: Option<(usize, f64)> = None;
@@ -287,7 +303,6 @@ impl BayesianOptimizer {
             xs.push(s);
             ys_obj.push(o);
             ys_con.push(c);
-            pts.push(vec![s]);
             // analysis:resolve(MaternHyperSearch::append)
             search_o.append(vec![s], o, nv_o)?;
             // analysis:resolve(MaternHyperSearch::append)
@@ -303,12 +318,11 @@ impl BayesianOptimizer {
         // error-aware; judging the objective at evaluated points avoids
         // the posterior-mean smoothing washing out the sharp interruption
         // kink at `inlet + κ`. The GPs come straight from the loop's last
-        // refit, and the constraint posterior over grid + evaluated points
-        // is ONE batched whitened solve on the shared buffer.
-        let post_o = gp_pair.0.posterior(&pts[..grid.len()]);
-        let post_c = gp_pair.1.posterior(&pts);
-        let (c_grid_mean, c_eval_mean) = post_c.mean.split_at(grid.len());
-        let c_eval_var = &post_c.var[grid.len()..];
+        // refit; each posterior below is one batched whitened solve.
+        let post_o = gp_pair.0.posterior(self.candidates.points());
+        let post_c_grid = gp_pair.1.posterior(self.candidates.points());
+        let post_c_eval = gp_pair.1.posterior(gp_pair.1.inputs());
+        let (c_eval_mean, c_eval_var) = (&post_c_eval.mean, &post_c_eval.var);
         let mut best: Option<(f64, f64)> = None; // (setpoint, observed objective)
         for i in 0..xs.len() {
             let sigma = c_eval_var[i].sqrt().max(1e-9);
@@ -340,9 +354,9 @@ impl BayesianOptimizer {
             setpoint,
             fallback,
             evaluated,
-            grid,
+            grid: grid.clone(),
             objective_mean: post_o.mean,
-            constraint_mean: c_grid_mean.to_vec(),
+            constraint_mean: post_c_grid.mean,
         })
     }
 }

@@ -20,7 +20,7 @@
 // are sized by model dimensions fixed at fit time; a fresh surrogate
 // per decision is the paper's design, and zero-alloc steady-state
 // scoring is tracked as ROADMAP work.
-use crate::design::SharedDesign;
+use crate::design::{lag_bases, SharedDesign};
 use crate::trace::{ModelWindow, Trace};
 use crate::ForecastError;
 use tesla_linalg::{Matrix, Ridge};
@@ -114,17 +114,9 @@ impl AcuModel {
             .models
             .iter()
             .map(|step_models| {
-                step_models
-                    .iter()
-                    .map(|m| {
-                        let w = m.folded_weights();
-                        let mut acc = m.bias();
-                        for (wi, xi) in w[..lag.len()].iter().zip(&lag) {
-                            acc += wi * xi;
-                        }
-                        acc
-                    })
-                    .collect()
+                let mut base = vec![0.0; step_models.len()];
+                lag_bases(step_models, &lag, &mut base);
+                base
             })
             .collect();
         Ok(PreparedAcu { base })

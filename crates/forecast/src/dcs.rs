@@ -20,7 +20,7 @@
 // are sized by model dimensions fixed at fit time; a fresh surrogate
 // per decision is the paper's design, and zero-alloc steady-state
 // scoring is tracked as ROADMAP work.
-use crate::design::SharedDesign;
+use crate::design::{lag_bases, SharedDesign};
 use crate::trace::{ModelWindow, Trace};
 use crate::ForecastError;
 use tesla_linalg::{Matrix, Ridge};
@@ -106,7 +106,9 @@ impl DcsModel {
     /// the folded bias, the `N_d·L` lag-block dot product, and the power
     /// term (ASP output is fixed within a decision). Accumulation order
     /// matches [`DcsModel::predict`] exactly — lags first, then power —
-    /// so prepared predictions are bit-identical to direct ones.
+    /// so prepared predictions are bit-identical to direct ones. The
+    /// `N_d·L` models of a step share the lag window, so their dot
+    /// products run four at a time.
     pub fn prepare(
         &self,
         window: &ModelWindow,
@@ -130,20 +132,14 @@ impl DcsModel {
         let base = self
             .models
             .iter()
-            .enumerate()
-            .map(|(step, step_models)| {
-                step_models
-                    .iter()
-                    .map(|m| {
-                        let w = m.folded_weights();
-                        let mut acc = m.bias();
-                        for (wi, xi) in w[..lag.len()].iter().zip(&lag) {
-                            acc += wi * xi;
-                        }
-                        acc += w[exo_base] * power_pred[step];
-                        acc
-                    })
-                    .collect()
+            .zip(power_pred)
+            .map(|(step_models, &power)| {
+                let mut base = vec![0.0; step_models.len()];
+                lag_bases(step_models, &lag, &mut base);
+                for (acc, m) in base.iter_mut().zip(step_models) {
+                    *acc += m.folded_weights()[exo_base] * power;
+                }
+                base
             })
             .collect();
         Ok(PreparedDcs { base })

@@ -40,6 +40,37 @@ pub fn xt_y(x: &Matrix, y: &Matrix) -> Matrix {
     out
 }
 
+/// Writes into `out` each model's bias plus the dot product of its
+/// leading weights with `lag`, accumulated in [`Ridge::predict`]'s order:
+/// the bias, then each lag term in turn. The models' sums are
+/// independent, so four run side by side; each keeps its own order, so
+/// the results are bit-identical to computing the models one at a time.
+/// This is the window-dependent part of the ACU and DCS prepares.
+pub(crate) fn lag_bases(models: &[Ridge], lag: &[f64], out: &mut [f64]) {
+    debug_assert_eq!(models.len(), out.len());
+    let k = lag.len();
+    let mut quads = models.chunks_exact(4);
+    let mut outs = out.chunks_exact_mut(4);
+    for (q, o) in (&mut quads).zip(&mut outs) {
+        let w = |i: usize| &q[i].folded_weights()[..k];
+        let (mut a0, mut a1, mut a2, mut a3) = (q[0].bias(), q[1].bias(), q[2].bias(), q[3].bias());
+        for ((((&x, &w0), &w1), &w2), &w3) in lag.iter().zip(w(0)).zip(w(1)).zip(w(2)).zip(w(3)) {
+            a0 += w0 * x;
+            a1 += w1 * x;
+            a2 += w2 * x;
+            a3 += w3 * x;
+        }
+        o.copy_from_slice(&[a0, a1, a2, a3]);
+    }
+    for (m, o) in quads.remainder().iter().zip(outs.into_remainder()) {
+        let mut acc = m.bias();
+        for (&wi, &xi) in m.folded_weights()[..k].iter().zip(lag) {
+            acc += wi * xi;
+        }
+        *o = acc;
+    }
+}
+
 /// A design matrix whose lag block is shared across many regressions.
 #[derive(Debug, Clone)]
 pub struct SharedDesign {
@@ -318,6 +349,28 @@ mod tests {
         for u in 0..direct.rows() {
             for v in 0..direct.cols() {
                 assert!((direct[(u, v)] - reference[(u, v)]).abs() < 1e-9);
+            }
+        }
+    }
+
+    #[test]
+    fn lag_bases_are_bit_identical_to_predict_one_model_at_a_time() {
+        let lag: Vec<f64> = (0..7)
+            .map(|i| (i as f64 * 0.9).sin() * 3.0 + 20.0)
+            .collect();
+        // Counts below, at and past one quad, so both the four-wide path
+        // and the remainder run, alone and together.
+        for count in 1..=9 {
+            let models: Vec<Ridge> = (0..count)
+                .map(|m| {
+                    let w = (0..7).map(|i| ((m * 7 + i) as f64 * 0.37).cos()).collect();
+                    Ridge::from_parts(w, 1.0 + m as f64, 0.1, vec![0.0; 7], vec![1.0; 7])
+                })
+                .collect();
+            let mut out = vec![0.0; count];
+            lag_bases(&models, &lag, &mut out);
+            for (m, o) in models.iter().zip(&out) {
+                assert_eq!(m.predict(&lag).to_bits(), o.to_bits(), "{count} models");
             }
         }
     }

@@ -52,13 +52,23 @@ impl Matern52 {
             outputscale: outputscale.max(1e-12),
         }
     }
+
+    /// The lengthscale-only factors `(1 + √5 r + 5r²/3, exp(−√5 r))` of
+    /// the covariance at distance `dist`. [`Kernel::eval_dist`] is
+    /// `(outputscale · poly) · exp`, so a hyper search that varies only
+    /// the outputscale reuses these and pays no `exp`.
+    #[inline]
+    pub fn shape(&self, dist: f64) -> (f64, f64) {
+        let r = dist / self.lengthscale;
+        let sqrt5_r = 5.0_f64.sqrt() * r;
+        (1.0 + sqrt5_r + 5.0 * r * r / 3.0, (-sqrt5_r).exp())
+    }
 }
 
 impl Kernel for Matern52 {
     fn eval_dist(&self, dist: f64) -> f64 {
-        let r = dist / self.lengthscale;
-        let sqrt5_r = 5.0_f64.sqrt() * r;
-        self.outputscale * (1.0 + sqrt5_r + 5.0 * r * r / 3.0) * (-sqrt5_r).exp()
+        let (poly, exp) = self.shape(dist);
+        self.outputscale * poly * exp
     }
 
     fn diag(&self) -> f64 {
@@ -157,6 +167,18 @@ mod tests {
         assert_eq!(k.eval(&a, &b), k.eval_dist(r));
         let rbf = Rbf::new(2.0, 0.5);
         assert_eq!(rbf.eval(&a, &b), rbf.eval_dist(r));
+    }
+
+    #[test]
+    fn shape_factors_reproduce_eval_dist() {
+        let k = Matern52::new(0.8, 1.7);
+        for d in [0.0, 0.25, 1.0, 3.7, 40.0] {
+            let (poly, exp) = k.shape(d);
+            assert_eq!(
+                k.eval_dist(d).to_bits(),
+                (k.outputscale * poly * exp).to_bits()
+            );
+        }
     }
 
     #[test]

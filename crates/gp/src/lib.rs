@@ -12,12 +12,13 @@
 //!
 //! * [`kernel`] — Matérn 5/2 and RBF kernels with lengthscale/outputscale.
 //! * [`gp::FixedNoiseGp`] — exact GP regression with per-observation
-//!   noise variances, constant mean, posterior mean/variance/covariance,
-//!   joint posterior sampling, log marginal likelihood, and a small
-//!   grid-search hyper-parameter fit.
+//!   noise variances, constant mean, posterior mean/variance, joint
+//!   posterior sampling at a [`CandidateSet`] plus the training points,
+//!   log marginal likelihood, and a small grid-search hyper-parameter fit.
 //! * [`sobol`] — a Sobol low-discrepancy sequence (direction numbers for
 //!   the first 8 dimensions) plus the inverse normal CDF, which together
-//!   give the QMC standard-normal draws NEI integrates with.
+//!   give the QMC standard-normal draws NEI integrates with
+//!   ([`QmcNormals`]).
 //!
 //! # Example: fixed-noise GP posterior
 //!
@@ -37,9 +38,12 @@ pub mod gp;
 pub mod kernel;
 pub mod sobol;
 
-pub use gp::{fit_matern_hypers, pairwise_distances, FixedNoiseGp, MaternHyperSearch, Posterior};
+pub use gp::{
+    fit_matern_hypers, pairwise_distances, CandidateSet, FixedNoiseGp, JointScratch,
+    MaternHyperSearch, Posterior,
+};
 pub use kernel::{euclidean_distance, Kernel, Matern52, Rbf};
-pub use sobol::{inverse_normal_cdf, normal_cdf, qmc_normal, qmc_normal_hybrid, SobolSequence};
+pub use sobol::{inverse_normal_cdf, normal_cdf, QmcNormals, SobolSequence};
 
 /// Errors from GP fitting and prediction.
 #[derive(Debug, Clone, PartialEq)]

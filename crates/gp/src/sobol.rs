@@ -6,15 +6,18 @@
 //! `[0,1)^d` pushed through the inverse normal CDF.
 //!
 //! Direction numbers are the first eight dimensions of the Joe–Kuo
-//! "new-joe-kuo-6" table — plenty for this workload (the optimizer's
-//! search space is one-dimensional; the QMC sample dimension is the
-//! number of joint posterior points, capped by blocking).
+//! "new-joe-kuo-6" table. The optimizer's search space is
+//! one-dimensional, but NEI's joint posterior has one dimension per
+//! point (candidates plus observations, about 80): [`QmcNormals`] takes
+//! the first 8 coordinates from Sobol and the rest from a seeded
+//! xorshift stream.
 
 // analysis:allow-file(panic-free-control-path): direction-number
 // tables are indexed by construction (dimension and bit counts are
 // compile-time constants).
-// analysis:allow-file(no-alloc-in-decide-steady-state): each decision
-// draws a fresh bounded Sobol block (n_init points).
+// analysis:allow-file(no-alloc-in-decide-steady-state): the Sobol
+// prefix is tabulated once per optimizer; each draw refills the
+// caller's buffers, which grow only with the point count.
 const MAX_DIMS: usize = 8;
 const BITS: usize = 31;
 
@@ -117,27 +120,50 @@ impl SobolSequence {
     }
 }
 
+/// Acklam's central-region coefficients (numerator `A`, denominator `B`).
+const ACKLAM_A: [f64; 6] = [
+    -3.969683028665376e+01,
+    2.209460984245205e+02,
+    -2.759285104469687e+02,
+    1.383_577_518_672_69e2,
+    -3.066479806614716e+01,
+    2.506628277459239e+00,
+];
+const ACKLAM_B: [f64; 5] = [
+    -5.447609879822406e+01,
+    1.615858368580409e+02,
+    -1.556989798598866e+02,
+    6.680131188771972e+01,
+    -1.328068155288572e+01,
+];
+/// Below `P_LOW` (and above `1 − P_LOW`) Acklam's tail branch applies.
+const P_LOW: f64 = 0.02425;
+
+/// The central branch of [`inverse_normal_cdf`], exact for
+/// `P_LOW <= p <= 1 − P_LOW`. Branch-free, so a loop over many `p`
+/// vectorizes.
+#[inline(always)]
+fn acklam_central(p: f64) -> f64 {
+    const A: [f64; 6] = ACKLAM_A;
+    const B: [f64; 5] = ACKLAM_B;
+    let q = p - 0.5;
+    let r = q * q;
+    (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
+        / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
+}
+
+/// True when `p` falls in a tail of [`inverse_normal_cdf`].
+#[inline(always)]
+fn in_tail(p: f64) -> bool {
+    !(P_LOW..=1.0 - P_LOW).contains(&p)
+}
+
 /// Acklam's rational approximation to the inverse standard-normal CDF
 /// (relative error below 1.15e-9 — far beyond what QMC integration needs).
 pub fn inverse_normal_cdf(p: f64) -> f64 {
     // Clamp away from the poles.
     let p = p.clamp(1e-300, 1.0 - 1e-16);
 
-    const A: [f64; 6] = [
-        -3.969683028665376e+01,
-        2.209460984245205e+02,
-        -2.759285104469687e+02,
-        1.383_577_518_672_69e2,
-        -3.066479806614716e+01,
-        2.506628277459239e+00,
-    ];
-    const B: [f64; 5] = [
-        -5.447609879822406e+01,
-        1.615858368580409e+02,
-        -1.556989798598866e+02,
-        6.680131188771972e+01,
-        -1.328068155288572e+01,
-    ];
     const C: [f64; 6] = [
         -7.784894002430293e-03,
         -3.223964580411365e-01,
@@ -152,38 +178,18 @@ pub fn inverse_normal_cdf(p: f64) -> f64 {
         2.445134137142996e+00,
         3.754408661907416e+00,
     ];
-    const P_LOW: f64 = 0.02425;
 
     if p < P_LOW {
         let q = (-2.0 * p.ln()).sqrt();
         (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
             / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
     } else if p <= 1.0 - P_LOW {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
+        acklam_central(p)
     } else {
         let q = (-2.0 * (1.0 - p).ln()).sqrt();
         -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
             / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
     }
-}
-
-/// Generates `n` quasi-Monte-Carlo standard-normal vectors of dimension
-/// `dims` (Sobol points through the inverse CDF). The all-zeros first
-/// Sobol point is skipped (it would map to −∞).
-pub fn qmc_normal(n: usize, dims: usize) -> Vec<Vec<f64>> {
-    let mut seq = SobolSequence::new(dims);
-    let _ = seq.next_point(); // drop the origin
-    (0..n)
-        .map(|_| {
-            seq.next_point()
-                .into_iter()
-                .map(inverse_normal_cdf)
-                .collect()
-        })
-        .collect()
 }
 
 /// Standard-normal CDF via the Abramowitz–Stegun erf approximation
@@ -200,45 +206,160 @@ pub fn normal_cdf(z: f64) -> f64 {
     0.5 * (1.0 + erf)
 }
 
-/// QMC-where-possible normal draws for arbitrary dimension: the first
-/// `min(dims, 8)` coordinates come from the Sobol sequence, the remainder
-/// from a seeded xorshift pseudo-random stream. The paper's BoTorch setup
-/// uses scrambled Sobol at any dimension; this hybrid keeps the QMC
-/// benefit on the leading coordinates while supporting the joint
-/// posteriors NEI integrates over (observed points + candidate).
-pub fn qmc_normal_hybrid(n: usize, dims: usize, seed: u64) -> Vec<Vec<f64>> {
-    let qmc_dims = dims.min(MAX_DIMS);
-    let mut seq = SobolSequence::new(qmc_dims.max(1));
-    let _ = seq.next_point();
-    let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-    let mut uniform = move || {
-        state ^= state >> 12;
-        state ^= state << 25;
-        state ^= state >> 27;
-        ((state.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64)
-            .clamp(1e-12, 1.0 - 1e-12)
-    };
-    (0..n)
-        .map(|_| {
-            let mut row: Vec<f64> = if dims == 0 {
-                Vec::new()
-            } else {
-                seq.next_point()
-                    .into_iter()
-                    .map(inverse_normal_cdf)
-                    .collect()
-            };
-            while row.len() < dims {
-                row.push(inverse_normal_cdf(uniform()));
+/// QMC-where-possible standard-normal draws of any dimension, for a fixed
+/// number of draws.
+///
+/// The first `min(dims, 8)` coordinates of every draw come from the Sobol
+/// sequence (origin skipped), the rest from a seeded xorshift stream, all
+/// pushed through [`inverse_normal_cdf`]. The paper's BoTorch setup uses
+/// scrambled Sobol at any dimension; this hybrid keeps the QMC benefit on
+/// the leading coordinates while supporting the joint posteriors NEI
+/// integrates over (observed points plus candidates).
+///
+/// The Sobol prefix does not depend on the seed, so it is tabulated once
+/// here. Draws are written dimension-major (`out[k * n + s]` is
+/// coordinate `k` of draw `s`), the layout the GP's joint sampler
+/// colours with one matrix product.
+#[derive(Debug, Clone)]
+pub struct QmcNormals {
+    /// Draws per block.
+    n: usize,
+    /// Normals of the Sobol prefix, dimension-major: `sobol[k * n + s]`.
+    sobol: Vec<f64>,
+}
+
+impl QmcNormals {
+    /// Tabulates the Sobol prefix for blocks of `n` draws.
+    pub fn new(n: usize) -> Self {
+        let mut seq = SobolSequence::new(MAX_DIMS);
+        let _ = seq.next_point(); // drop the origin
+        let mut sobol = vec![0.0; MAX_DIMS * n];
+        for s in 0..n {
+            for (k, u) in seq.next_point().into_iter().enumerate() {
+                sobol[k * n + s] = inverse_normal_cdf(u);
             }
-            row
-        })
-        .collect()
+        }
+        QmcNormals { n, sobol }
+    }
+
+    /// Draws per block.
+    pub fn n_draws(&self) -> usize {
+        self.n
+    }
+
+    /// Fills `out` with one block of `dims`-dimensional draws for `seed`,
+    /// dimension-major. `uniforms` is scratch space.
+    ///
+    /// The xorshift uniforms are drawn in draw-major order, so the same
+    /// seed gives the same numbers at every dimension count. The central
+    /// branch of the inverse CDF then runs over all of them in one
+    /// branch-free loop, and the few values in the tails (about 5%) are
+    /// redone with [`inverse_normal_cdf`]; every value is bit-identical
+    /// to calling [`inverse_normal_cdf`] on it.
+    pub fn fill(&self, dims: usize, seed: u64, uniforms: &mut Vec<f64>, out: &mut Vec<f64>) {
+        let n = self.n;
+        let qmc_dims = dims.min(MAX_DIMS);
+        out.clear();
+        out.extend_from_slice(&self.sobol[..qmc_dims * n]);
+        let rest = dims - qmc_dims;
+        uniforms.clear();
+        uniforms.resize(rest * n, 0.0);
+        if rest > 0 {
+            let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+            for s in 0..n {
+                for k in 0..rest {
+                    state ^= state >> 12;
+                    state ^= state << 25;
+                    state ^= state >> 27;
+                    uniforms[k * n + s] = ((state.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64
+                        / (1u64 << 53) as f64)
+                        .clamp(1e-12, 1.0 - 1e-12);
+                }
+            }
+        }
+        out.extend(uniforms.iter().map(|&u| acklam_central(u)));
+        for (z, &u) in out[qmc_dims * n..].iter_mut().zip(uniforms.iter()) {
+            if in_tail(u) {
+                *z = inverse_normal_cdf(u);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The row-per-draw generator [`QmcNormals`] replaced: Sobol for the
+    /// first `min(dims, 8)` coordinates, xorshift for the rest, each value
+    /// through the scalar inverse CDF.
+    fn qmc_normal_hybrid(n: usize, dims: usize, seed: u64) -> Vec<Vec<f64>> {
+        let qmc_dims = dims.min(MAX_DIMS);
+        let mut seq = SobolSequence::new(qmc_dims.max(1));
+        let _ = seq.next_point();
+        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+        let mut uniform = move || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            ((state.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64)
+                .clamp(1e-12, 1.0 - 1e-12)
+        };
+        (0..n)
+            .map(|_| {
+                let mut row: Vec<f64> = if dims == 0 {
+                    Vec::new()
+                } else {
+                    seq.next_point()
+                        .into_iter()
+                        .map(inverse_normal_cdf)
+                        .collect()
+                };
+                while row.len() < dims {
+                    row.push(inverse_normal_cdf(uniform()));
+                }
+                row
+            })
+            .collect()
+    }
+
+    /// One dimension-major block as rows, one per draw.
+    fn block_rows(n: usize, dims: usize, seed: u64) -> Vec<Vec<f64>> {
+        let qmc = QmcNormals::new(n);
+        let (mut uniforms, mut out) = (Vec::new(), Vec::new());
+        qmc.fill(dims, seed, &mut uniforms, &mut out);
+        assert_eq!(out.len(), dims * n);
+        (0..n)
+            .map(|s| (0..dims).map(|k| out[k * n + s]).collect())
+            .collect()
+    }
+
+    #[test]
+    fn dimension_major_block_is_bit_identical_to_row_per_draw() {
+        for dims in [0, 1, 8, 9, 80] {
+            for n in [1, 8, 64] {
+                for seed in [0, 7, u64::MAX] {
+                    let want = qmc_normal_hybrid(n, dims, seed);
+                    let got = block_rows(n, dims, seed);
+                    for (g, w) in got.iter().zip(&want) {
+                        let same = g.len() == w.len()
+                            && g.iter().zip(w).all(|(a, b)| a.to_bits() == b.to_bits());
+                        assert!(same, "dims {dims} draws {n} seed {seed}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reused_buffers_shrink_to_the_requested_block() {
+        let qmc = QmcNormals::new(8);
+        let (mut uniforms, mut out) = (Vec::new(), Vec::new());
+        qmc.fill(80, 3, &mut uniforms, &mut out);
+        qmc.fill(9, 3, &mut uniforms, &mut out);
+        assert_eq!(out.len(), 9 * 8);
+        assert_eq!(qmc.n_draws(), 8);
+    }
 
     #[test]
     fn normal_cdf_known_values() {
@@ -260,7 +381,7 @@ mod tests {
 
     #[test]
     fn hybrid_draws_have_unit_moments_in_high_dims() {
-        let draws = qmc_normal_hybrid(2048, 20, 7);
+        let draws = block_rows(2048, 20, 7);
         for d in [0, 7, 8, 19] {
             let mean: f64 = draws.iter().map(|r| r[d]).sum::<f64>() / draws.len() as f64;
             let var: f64 =
@@ -272,9 +393,9 @@ mod tests {
 
     #[test]
     fn hybrid_is_deterministic_per_seed() {
-        let a = qmc_normal_hybrid(10, 12, 3);
-        let b = qmc_normal_hybrid(10, 12, 3);
-        let c = qmc_normal_hybrid(10, 12, 4);
+        let a = block_rows(10, 12, 3);
+        let b = block_rows(10, 12, 3);
+        let c = block_rows(10, 12, 4);
         assert_eq!(a, b);
         assert_ne!(a, c);
     }
@@ -346,18 +467,6 @@ mod tests {
             prev = z;
             let z2 = inverse_normal_cdf(1.0 - p);
             assert!((z + z2).abs() < 1e-7, "symmetry at p={p}");
-        }
-    }
-
-    #[test]
-    fn qmc_normal_moments() {
-        let draws = qmc_normal(1024, 2);
-        for d in 0..2 {
-            let mean: f64 = draws.iter().map(|r| r[d]).sum::<f64>() / draws.len() as f64;
-            let var: f64 =
-                draws.iter().map(|r| (r[d] - mean).powi(2)).sum::<f64>() / draws.len() as f64;
-            assert!(mean.abs() < 0.02, "dim {d} mean {mean}");
-            assert!((var - 1.0).abs() < 0.05, "dim {d} var {var}");
         }
     }
 }

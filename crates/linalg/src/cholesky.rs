@@ -10,14 +10,13 @@
 // analysis:allow-file(panic-free-control-path): dense numeric kernel;
 // every index is loop-bounded by lengths validated at the call
 // boundary, and debug_asserts guard the shape contracts.
-// analysis:allow-file(no-alloc-in-decide-steady-state): work buffers
-// are sized by model dimensions fixed at fit time; a fresh surrogate
-// per decision is the paper's design, and zero-alloc steady-state
-// scoring is tracked as ROADMAP work.
+// analysis:allow-file(no-alloc-in-decide-steady-state): the factor is
+// refilled in place by `refactor_jittered` and only grows when the
+// matrix does; `append_row` grows it by one row per BO observation.
 use crate::{matrix::Matrix, LinalgError, Result};
 
 /// Lower-triangular Cholesky factor `L` with `L Lᵀ = A`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Cholesky {
     l: Matrix,
     /// Jitter that was added to the diagonal to achieve positive
@@ -29,29 +28,48 @@ impl Cholesky {
     /// Factors an SPD matrix. Fails with [`LinalgError::NotPositiveDefinite`]
     /// if a non-positive pivot is encountered.
     pub fn decompose(a: &Matrix) -> Result<Self> {
-        Self::decompose_with_jitter(a, 0.0)
+        let mut c = Cholesky::default();
+        c.refactor(a, 0.0)?;
+        Ok(c)
     }
 
     /// Factors `a + jitter * I`, retrying with `jitter * 10` (starting from
     /// `initial`) until success or `max_tries` escalations.
     pub fn decompose_jittered(a: &Matrix, initial: f64, max_tries: usize) -> Result<Self> {
-        match Self::decompose_with_jitter(a, 0.0) {
-            Ok(c) => return Ok(c),
+        let mut c = Cholesky::default();
+        c.refactor_jittered(a, initial, max_tries)?;
+        Ok(c)
+    }
+
+    /// [`Cholesky::decompose_jittered`] into this factor's storage, which
+    /// is reused when it is large enough. After an error the factor's
+    /// contents are unspecified.
+    pub fn refactor_jittered(&mut self, a: &Matrix, initial: f64, max_tries: usize) -> Result<()> {
+        match self.refactor(a, 0.0) {
             Err(LinalgError::NotPositiveDefinite) => {}
-            Err(e) => return Err(e),
+            done => return done,
         }
         let mut jitter = initial.max(1e-12);
         for _ in 0..max_tries {
-            match Self::decompose_with_jitter(a, jitter) {
-                Ok(c) => return Ok(c),
+            match self.refactor(a, jitter) {
                 Err(LinalgError::NotPositiveDefinite) => jitter *= 10.0,
-                Err(e) => return Err(e),
+                done => return done,
             }
         }
         Err(LinalgError::NotPositiveDefinite)
     }
 
-    fn decompose_with_jitter(a: &Matrix, jitter: f64) -> Result<Self> {
+    /// Factors `a + jitter * I` column by column.
+    ///
+    /// Column `j` needs only the columns before it: first its pivot, then
+    /// the entries below the pivot, four rows at a time so that four
+    /// independent sums run side by side. Every entry still starts from
+    /// `a[i][j]` (plus the jitter on the diagonal), subtracts
+    /// `l[i][k]·l[j][k]` for `k = 0..j` in turn and divides by the pivot,
+    /// so the factor is bit-identical to the textbook row-by-row order.
+    /// Pivots are checked in index order, as the row-by-row order checks
+    /// them.
+    fn refactor(&mut self, a: &Matrix, jitter: f64) -> Result<()> {
         let (n, m) = a.shape();
         if n != m {
             return Err(LinalgError::DimensionMismatch {
@@ -60,27 +78,62 @@ impl Cholesky {
                 rhs: a.shape(),
             });
         }
-        let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = a[(i, j)];
-                if i == j {
-                    sum += jitter;
+        self.l.reset_zeros(n, n);
+        let data = self.l.as_mut_slice();
+        for j in 0..n {
+            let (head, below) = data.split_at_mut((j + 1) * n);
+            let row_j = &mut head[j * n..];
+            let mut pivot = a[(j, j)];
+            pivot += jitter;
+            for &ljk in &row_j[..j] {
+                pivot -= ljk * ljk;
+            }
+            if pivot <= 0.0 || !pivot.is_finite() {
+                return Err(LinalgError::NotPositiveDefinite);
+            }
+            let d = pivot.sqrt();
+            row_j[j] = d;
+            let lj = &row_j[..j];
+
+            let mut quads = below.chunks_exact_mut(4 * n);
+            let mut i = j + 1;
+            for quad in &mut quads {
+                let (r0, rest) = quad.split_at_mut(n);
+                let (r1, rest) = rest.split_at_mut(n);
+                let (r2, r3) = rest.split_at_mut(n);
+                let mut s0 = a[(i, j)];
+                let mut s1 = a[(i + 1, j)];
+                let mut s2 = a[(i + 2, j)];
+                let mut s3 = a[(i + 3, j)];
+                for ((((&ljk, &x0), &x1), &x2), &x3) in lj
+                    .iter()
+                    .zip(&r0[..j])
+                    .zip(&r1[..j])
+                    .zip(&r2[..j])
+                    .zip(&r3[..j])
+                {
+                    s0 -= x0 * ljk;
+                    s1 -= x1 * ljk;
+                    s2 -= x2 * ljk;
+                    s3 -= x3 * ljk;
                 }
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
+                r0[j] = s0 / d;
+                r1[j] = s1 / d;
+                r2[j] = s2 / d;
+                r3[j] = s3 / d;
+                i += 4;
+            }
+            for row in quads.into_remainder().chunks_exact_mut(n) {
+                let mut s = a[(i, j)];
+                for (&ljk, &x) in lj.iter().zip(&row[..j]) {
+                    s -= x * ljk;
                 }
-                if i == j {
-                    if sum <= 0.0 || !sum.is_finite() {
-                        return Err(LinalgError::NotPositiveDefinite);
-                    }
-                    l[(i, j)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
-                }
+                row[j] = s / d;
+                i += 1;
             }
         }
-        Ok(Cholesky { l, jitter })
+        self.jitter = jitter;
+        Ok(())
     }
 
     /// The lower-triangular factor.
@@ -100,6 +153,13 @@ impl Cholesky {
 
     /// Solves `A x = b` via forward/back substitution.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
+        let mut x = b.to_vec();
+        self.solve_in_place(&mut x)?;
+        Ok(x)
+    }
+
+    /// [`Cholesky::solve`] writing the solution over `b`.
+    pub fn solve_in_place(&self, b: &mut [f64]) -> Result<()> {
         let n = self.dim();
         if b.len() != n {
             return Err(LinalgError::DimensionMismatch {
@@ -108,16 +168,16 @@ impl Cholesky {
                 rhs: (b.len(), 1),
             });
         }
-        let mut y = self.forward_substitute(b);
+        self.forward_substitute_in_place(b);
         // Back substitution: Lᵀ x = y.
         for i in (0..n).rev() {
-            let mut sum = y[i];
-            for (k, &yk) in y.iter().enumerate().skip(i + 1) {
+            let mut sum = b[i];
+            for (k, &yk) in b.iter().enumerate().skip(i + 1) {
                 sum -= self.l[(k, i)] * yk;
             }
-            y[i] = sum / self.l[(i, i)];
+            b[i] = sum / self.l[(i, i)];
         }
-        Ok(y)
+        Ok(())
     }
 
     /// Solves `L y = b` (forward substitution only). Needed by the GP for
@@ -128,9 +188,7 @@ impl Cholesky {
         y
     }
 
-    /// Forward substitution writing over `b` in place. All forward-solve
-    /// entry points funnel through this routine so the batched path is
-    /// bit-identical to the per-vector one.
+    /// Forward substitution writing over `b` in place.
     fn forward_substitute_in_place(&self, b: &mut [f64]) {
         let n = self.dim();
         debug_assert_eq!(b.len(), n);
@@ -144,50 +202,73 @@ impl Cholesky {
         }
     }
 
-    /// Solves `L Y = B` for many right-hand sides at once.
+    /// Solves `L Y = B` in place for every column of `B` at once.
     ///
-    /// `rhs` holds `n_rhs` vectors of length `dim()` back to back
-    /// (vector-major, each contiguous); the result uses the same layout.
-    /// One call whitens an entire query grid — the GP posterior uses this
-    /// so a decision's grid costs one batched solve instead of a solve
-    /// (and an allocation) per query point.
-    pub fn forward_substitute_batch(&self, rhs: &[f64]) -> Result<Vec<f64>> {
+    /// `b` is row-major with `dim()` rows and `cols` columns, so row `i`
+    /// holds coordinate `i` of every right-hand side. The inner loop runs
+    /// across the columns, and each column keeps
+    /// [`Cholesky::forward_substitute`]'s order of operations, so the
+    /// result is bit-identical to solving the columns one at a time. The
+    /// GP whitens a whole query grid with one call.
+    pub fn forward_substitute_cols(&self, b: &mut [f64], cols: usize) -> Result<()> {
         let n = self.dim();
-        if n == 0 || !rhs.len().is_multiple_of(n) {
+        if b.len() != n * cols {
             return Err(LinalgError::DimensionMismatch {
-                op: "cholesky forward_substitute_batch",
+                op: "cholesky forward_substitute_cols",
                 lhs: (n, n),
-                rhs: (rhs.len(), 1),
+                rhs: (b.len(), cols),
             });
         }
-        let mut out = rhs.to_vec();
-        for chunk in out.chunks_mut(n) {
-            self.forward_substitute_in_place(chunk);
+        if cols == 0 {
+            return Ok(());
         }
-        Ok(out)
+        for i in 0..n {
+            let row = self.l.row(i);
+            let (done, rest) = b.split_at_mut(i * cols);
+            let bi = &mut rest[..cols];
+            for (&lik, bk) in row[..i].iter().zip(done.chunks_exact(cols)) {
+                for (x, &y) in bi.iter_mut().zip(bk) {
+                    *x -= lik * y;
+                }
+            }
+            let d = row[i];
+            for x in bi.iter_mut() {
+                *x /= d;
+            }
+        }
+        Ok(())
     }
 
-    /// Computes `L z` exploiting the lower-triangular structure (half the
-    /// multiplies of a dense matvec). Used by the GP posterior sampler.
-    pub fn lower_matvec(&self, z: &[f64]) -> Result<Vec<f64>> {
+    /// Computes `L Z` for a row-major `dim() x cols` matrix `Z` into
+    /// `out` (same shape), exploiting the triangular structure.
+    ///
+    /// The GP sampler stores its normals dimension-major, one column per
+    /// draw, so one call colours every draw: the inner loop runs across
+    /// draws, and each output still sums `k = 0..=i` in order from zero,
+    /// bit-identical to multiplying each draw on its own.
+    pub fn lower_matmul(&self, z: &[f64], cols: usize, out: &mut Vec<f64>) -> Result<()> {
         let n = self.dim();
-        if z.len() != n {
+        if z.len() != n * cols {
             return Err(LinalgError::DimensionMismatch {
-                op: "cholesky lower_matvec",
+                op: "cholesky lower_matmul",
                 lhs: (n, n),
-                rhs: (z.len(), 1),
+                rhs: (z.len(), cols),
             });
         }
-        let mut out = vec![0.0; n];
-        for (i, o) in out.iter_mut().enumerate() {
-            let row = self.l.row(i);
-            let mut sum = 0.0;
-            for (k, &zk) in z.iter().enumerate().take(i + 1) {
-                sum += row[k] * zk;
-            }
-            *o = sum;
+        out.clear();
+        out.resize(n * cols, 0.0);
+        if cols == 0 {
+            return Ok(());
         }
-        Ok(out)
+        for (i, acc) in out.chunks_exact_mut(cols).enumerate() {
+            let row = self.l.row(i);
+            for (&lik, zk) in row[..=i].iter().zip(z.chunks_exact(cols)) {
+                for (a, &zv) in acc.iter_mut().zip(zk) {
+                    *a += lik * zv;
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Extends the factorization of an `n x n` SPD matrix `A` to the
@@ -269,6 +350,73 @@ impl Cholesky {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The textbook row-by-row factorization the column-by-column one
+    /// replaced: each entry waits for the one before it in its row.
+    fn decompose_row_by_row(a: &Matrix, jitter: f64) -> Result<Matrix> {
+        let n = a.rows();
+        let mut l = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..=i {
+                let mut sum = a[(i, j)];
+                if i == j {
+                    sum += jitter;
+                }
+                for k in 0..j {
+                    sum -= l[(i, k)] * l[(j, k)];
+                }
+                if i == j {
+                    if sum <= 0.0 || !sum.is_finite() {
+                        return Err(LinalgError::NotPositiveDefinite);
+                    }
+                    l[(i, j)] = sum.sqrt();
+                } else {
+                    l[(i, j)] = sum / l[(j, j)];
+                }
+            }
+        }
+        Ok(l)
+    }
+
+    /// `L z` for one vector, the per-draw product `lower_matmul` replaced.
+    fn lower_matvec(c: &Cholesky, z: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; c.dim()];
+        for (i, o) in out.iter_mut().enumerate() {
+            let row = c.factor().row(i);
+            let mut sum = 0.0;
+            for (k, &zk) in z.iter().enumerate().take(i + 1) {
+                sum += row[k] * zk;
+            }
+            *o = sum;
+        }
+        out
+    }
+
+    fn random_matrix(rng: &mut StdRng, rows: usize, cols: usize) -> Matrix {
+        let data = (0..rows * cols)
+            .map(|_| rng.random_range(-2.0..2.0))
+            .collect();
+        Matrix::from_vec(rows, cols, data).unwrap()
+    }
+
+    /// `M Mᵀ + shift·I` for a random square `M`: SPD for `shift > 0`,
+    /// usually indefinite for a large negative shift.
+    fn random_gram(rng: &mut StdRng, n: usize, shift: f64) -> Matrix {
+        let m = random_matrix(rng, n, n);
+        let mut a = m.matmul(&m.transpose()).unwrap();
+        a.add_diagonal(shift);
+        a
+    }
+
+    fn same_bits(a: &Matrix, b: &Matrix) -> bool {
+        a.shape() == b.shape()
+            && a.as_slice()
+                .iter()
+                .zip(b.as_slice())
+                .all(|(x, y)| x.to_bits() == y.to_bits())
+    }
 
     fn spd3() -> Matrix {
         // A = M Mᵀ + I for a fixed M: guaranteed SPD.
@@ -395,29 +543,87 @@ mod tests {
     }
 
     #[test]
-    fn forward_substitute_batch_matches_per_vector() {
-        let a = spd3();
-        let c = Cholesky::decompose(&a).unwrap();
-        let rhs = [1.0, 2.0, 3.0, -1.0, 0.5, 4.0];
-        let batch = c.forward_substitute_batch(&rhs).unwrap();
-        let one = c.forward_substitute(&rhs[0..3]);
-        let two = c.forward_substitute(&rhs[3..6]);
-        assert_eq!(&batch[0..3], one.as_slice());
-        assert_eq!(&batch[3..6], two.as_slice());
-        // Ragged batch length rejected.
-        assert!(c.forward_substitute_batch(&rhs[..4]).is_err());
+    fn column_order_is_bit_identical_to_row_order_on_random_spd() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for n in 1..=40 {
+            let a = random_gram(&mut rng, n, 1e-3);
+            let c = Cholesky::decompose(&a).unwrap();
+            let reference = decompose_row_by_row(&a, 0.0).unwrap();
+            assert!(same_bits(c.factor(), &reference), "n = {n}");
+            // A jittered factor matches the reference at the same jitter.
+            let j = Cholesky::decompose_jittered(&a, 1e-8, 12).unwrap();
+            let reference = decompose_row_by_row(&a, j.jitter()).unwrap();
+            assert!(same_bits(j.factor(), &reference), "jittered n = {n}");
+        }
     }
 
     #[test]
-    fn lower_matvec_matches_dense() {
-        let c = Cholesky::decompose(&spd3()).unwrap();
-        let z = [0.3, -1.2, 2.0];
-        let dense = c.factor().matvec(&z).unwrap();
-        let tri = c.lower_matvec(&z).unwrap();
-        for (d, t) in dense.iter().zip(&tri) {
-            assert!((d - t).abs() < 1e-15);
+    fn column_order_rejects_what_row_order_rejects() {
+        let mut rng = StdRng::seed_from_u64(6);
+        for n in 2..=40 {
+            let a = random_gram(&mut rng, n, -(n as f64));
+            assert!(matches!(
+                decompose_row_by_row(&a, 0.0),
+                Err(LinalgError::NotPositiveDefinite)
+            ));
+            assert!(matches!(
+                Cholesky::decompose(&a),
+                Err(LinalgError::NotPositiveDefinite)
+            ));
         }
-        assert!(c.lower_matvec(&[1.0]).is_err());
+    }
+
+    #[test]
+    fn refactor_reuses_storage_without_stale_entries() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let big = random_gram(&mut rng, 9, 1.0);
+        let small = random_gram(&mut rng, 4, 1.0);
+        let mut c = Cholesky::decompose(&big).unwrap();
+        c.refactor_jittered(&small, 1e-8, 12).unwrap();
+        let fresh = Cholesky::decompose_jittered(&small, 1e-8, 12).unwrap();
+        assert!(same_bits(c.factor(), fresh.factor()));
+        assert_eq!(c.jitter(), fresh.jitter());
+        // A failed refactor reports the failure.
+        let bad = Matrix::from_vec(2, 2, vec![0.0, 1.0, 1.0, 0.0]).unwrap();
+        assert!(c.refactor_jittered(&bad, 1e-8, 2).is_err());
+    }
+
+    #[test]
+    fn lower_matmul_is_bit_identical_to_per_draw_products() {
+        let mut rng = StdRng::seed_from_u64(8);
+        for (n, cols) in [(1, 1), (3, 8), (17, 5), (40, 64), (4, 0)] {
+            let c = Cholesky::decompose(&random_gram(&mut rng, n, 1.0)).unwrap();
+            let z = random_matrix(&mut rng, n, cols);
+            let mut out = Vec::new();
+            c.lower_matmul(z.as_slice(), cols, &mut out).unwrap();
+            for s in 0..cols {
+                let draw = lower_matvec(&c, &z.col(s));
+                for (i, v) in draw.iter().enumerate() {
+                    assert_eq!(v.to_bits(), out[i * cols + s].to_bits(), "n {n} draw {s}");
+                }
+            }
+        }
+        let c = Cholesky::decompose(&spd3()).unwrap();
+        assert!(c.lower_matmul(&[1.0; 4], 2, &mut Vec::new()).is_err());
+    }
+
+    #[test]
+    fn forward_substitute_cols_is_bit_identical_to_per_vector() {
+        let mut rng = StdRng::seed_from_u64(9);
+        for (n, cols) in [(1, 3), (5, 1), (19, 80), (3, 0)] {
+            let c = Cholesky::decompose(&random_gram(&mut rng, n, 1.0)).unwrap();
+            let b = random_matrix(&mut rng, n, cols);
+            let mut cols_out = b.as_slice().to_vec();
+            c.forward_substitute_cols(&mut cols_out, cols).unwrap();
+            for q in 0..cols {
+                let single = c.forward_substitute(&b.col(q));
+                for (i, v) in single.iter().enumerate() {
+                    assert_eq!(v.to_bits(), cols_out[i * cols + q].to_bits());
+                }
+            }
+        }
+        let c = Cholesky::decompose(&spd3()).unwrap();
+        assert!(c.forward_substitute_cols(&mut [1.0; 4], 2).is_err());
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::{LinalgError, Result};
 /// rows and a few dozen columns; GP Gram matrices of a few hundred rows),
 /// so storage is a single `Vec<f64>` and products use a cache-friendly
 /// i-k-j loop.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -30,6 +30,16 @@ impl Matrix {
             cols,
             data: vec![0.0; rows * cols],
         }
+    }
+
+    /// Reshapes to `rows x cols` and fills with zeros, reusing the
+    /// allocation when it is large enough. Work buffers that are refilled
+    /// on every call use this instead of allocating a fresh matrix.
+    pub fn reset_zeros(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
     }
 
     /// Creates the `n x n` identity matrix.

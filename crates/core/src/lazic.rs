@@ -14,9 +14,10 @@
 //! set-point = cheaper), with no interruption term, which drives the ACU
 //! to the constraint boundary and into repeated cooling interruptions.
 
+use crate::checkpoint::{ByteReader, ByteWriter};
 use crate::controller::Controller;
 use crate::CoreError;
-use tesla_forecast::{RecursiveAr, Trace};
+use tesla_forecast::{RecursiveAr, RolloutScan, Trace};
 use tesla_units::{Celsius, NOMINAL_SETPOINT};
 
 /// Lazic baseline configuration.
@@ -67,7 +68,13 @@ pub struct LazicController {
     model: RecursiveAr,
     config: LazicConfig,
     last_setpoint: Option<f64>,
+    /// Rollout buffers reused by every decision. They hold no decision
+    /// state, so `save_state` leaves them out.
+    scan: RolloutScan,
 }
+
+/// Version tag for [`LazicController::save_state`] blobs.
+const LAZIC_STATE_VERSION: u8 = 1;
 
 impl LazicController {
     /// Trains the recursive AR model (OLS, per \[20\]) on a sweep trace.
@@ -76,10 +83,12 @@ impl LazicController {
             return Err(CoreError::Config("invalid Lazic bounds/grid".into()));
         }
         let model = RecursiveAr::fit(trace, config.order, 0.0)?;
+        let scan = model.rollout_scan(config.horizon, &config.cold_sensors);
         Ok(LazicController {
             model,
             config,
             last_setpoint: None,
+            scan,
         })
     }
 
@@ -89,7 +98,10 @@ impl LazicController {
     }
 
     /// Predicted max cold-aisle temperature over the horizon for a
-    /// candidate set-point.
+    /// candidate set-point, through a fresh window and
+    /// [`RecursiveAr::predict_rollout`]: the reference the prepared scan
+    /// is tested against.
+    #[cfg(test)]
     fn predicted_max(&self, history: &Trace, setpoint: f64) -> Option<f64> {
         let now = history.len().checked_sub(1)?;
         let lag = self.config.order.max(2);
@@ -129,14 +141,17 @@ impl Controller for LazicController {
         let hi = hi.min(prev + self.config.max_step_c);
         let lo_local = lo.max(prev - self.config.max_step_c);
         let mut s = hi;
+        // The newest frames are read once per decision, and only when the
+        // window holds a candidate, so an empty window still takes the
+        // S_min backup below.
+        if s >= lo_local - 1e-9 && self.model.prepare_scan(history, &mut self.scan).is_err() {
+            return self.config.cold_start_setpoint.value();
+        }
+        let limit = self.config.d_allowed;
         while s >= lo_local - 1e-9 {
-            match self.predicted_max(history, s) {
-                Some(max) if max < self.config.d_allowed.value() => {
-                    self.last_setpoint = Some(s);
-                    return s;
-                }
-                Some(_) => {}
-                None => return self.config.cold_start_setpoint.value(),
+            if self.model.scan_max(&mut self.scan, Celsius::new(s), limit) < limit {
+                self.last_setpoint = Some(s);
+                return s;
             }
             s -= self.config.grid_step;
         }
@@ -147,6 +162,41 @@ impl Controller for LazicController {
 
     fn reset(&mut self) {
         self.last_setpoint = None;
+    }
+
+    /// The centre of the next search window: a version byte, a presence
+    /// byte, and the bits of the previous decision when there is one.
+    fn save_state(&self) -> Option<Vec<u8>> {
+        let mut w = ByteWriter::new();
+        w.u8(LAZIC_STATE_VERSION);
+        match self.last_setpoint {
+            None => w.u8(0),
+            Some(s) => {
+                w.u8(1);
+                w.f64(s);
+            }
+        }
+        Some(w.into_vec())
+    }
+
+    fn load_state(&mut self, state: &[u8]) -> bool {
+        let mut r = ByteReader::new(state);
+        if r.u8() != Some(LAZIC_STATE_VERSION) {
+            return false;
+        }
+        let last = match r.u8() {
+            Some(0) => None,
+            Some(1) => match r.f64() {
+                Some(s) => Some(s),
+                None => return false,
+            },
+            _ => return false,
+        };
+        if r.remaining() != 0 {
+            return false;
+        }
+        self.last_setpoint = last;
+        true
     }
 }
 
@@ -189,6 +239,134 @@ mod tests {
                 "a higher set-point should have been infeasible"
             );
         }
+    }
+
+    /// The first `len` samples of `trace`.
+    fn prefix(trace: &Trace, len: usize) -> Trace {
+        let cut = |c: &Vec<f64>| c[..len].to_vec();
+        Trace {
+            avg_power: cut(&trace.avg_power),
+            acu_inlet: trace.acu_inlet.iter().map(cut).collect(),
+            dc_temps: trace.dc_temps.iter().map(cut).collect(),
+            setpoint: cut(&trace.setpoint),
+            acu_energy: cut(&trace.acu_energy),
+            acu_power: cut(&trace.acu_power),
+        }
+    }
+
+    #[test]
+    fn prepared_scan_matches_the_rollout_reference_bit_for_bit() {
+        let (_, trace) = controller();
+        // The default watches a prefix of the rack sensors; the others
+        // take the gathered last step, a longer lag, one step, and no
+        // step at all.
+        let configs = [
+            LazicConfig::default(),
+            LazicConfig {
+                order: 3,
+                horizon: 4,
+                cold_sensors: vec![3, 7, 40, 7],
+                ..LazicConfig::default()
+            },
+            LazicConfig {
+                order: 1,
+                horizon: 1,
+                cold_sensors: vec![10, 2],
+                ..LazicConfig::default()
+            },
+            LazicConfig {
+                horizon: 0,
+                ..LazicConfig::default()
+            },
+        ];
+        for config in configs {
+            let label = format!(
+                "order {}, horizon {}, sensors {:?}",
+                config.order, config.horizon, config.cold_sensors
+            );
+            let mut ctrl = LazicController::new(&trace, config).unwrap();
+            for len in trace.len() - 60..trace.len() {
+                let history = prefix(&trace, len);
+                ctrl.model.prepare_scan(&history, &mut ctrl.scan).unwrap();
+                for i in 0..=60 {
+                    let s = 20.0 + 0.25 * f64::from(i);
+                    let reference = ctrl.predicted_max(&history, s).unwrap();
+                    let full = ctrl
+                        .model
+                        .scan_max(&mut ctrl.scan, Celsius::new(s), Celsius::new(f64::INFINITY))
+                        .value();
+                    assert_eq!(
+                        full.to_bits(),
+                        reference.to_bits(),
+                        "{label}: max at {s} °C, prefix {len}"
+                    );
+                    // The configured limit, and limits on either side of
+                    // this max, where the early stop decides the verdict.
+                    for limit in [22.0, reference, reference + 1e-9] {
+                        let stopped = ctrl
+                            .model
+                            .scan_max(&mut ctrl.scan, Celsius::new(s), Celsius::new(limit))
+                            .value();
+                        assert_eq!(
+                            stopped < limit,
+                            reference < limit,
+                            "{label}: verdict at {s} °C under {limit}, prefix {len}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sensor_mismatch_returns_cold_start_and_an_empty_window_smin() {
+        let (mut ctrl, trace) = controller();
+        let mut wrong = Trace::with_sensors(trace.n_acu_sensors(), trace.n_dc_sensors() + 1);
+        for t in 0..4 {
+            let inlet: Vec<f64> = trace.acu_inlet.iter().map(|c| c[t]).collect();
+            let mut dc: Vec<f64> = trace.dc_temps.iter().map(|c| c[t]).collect();
+            dc.push(dc[0]);
+            wrong.push(trace.avg_power[t], &inlet, &dc, 23.0, 0.0, 0.0);
+        }
+        assert_eq!(ctrl.decide(&wrong), 23.0, "mismatch: cold start");
+        assert_eq!(ctrl.last_setpoint, None);
+
+        // A warm start outside the bounds leaves no candidate to scan, so
+        // the mismatched trace is never read and the backup is S_min.
+        ctrl.config.cold_start_setpoint = Celsius::new(40.0);
+        assert_eq!(ctrl.decide(&wrong), 20.0, "empty window: S_min");
+    }
+
+    #[test]
+    fn state_blob_round_trips_and_rejects_other_blobs() {
+        let (mut ctrl, trace) = controller();
+        let cold = ctrl.save_state().unwrap();
+        let sp = ctrl.decide(&trace);
+        let warm = ctrl.save_state().unwrap();
+        assert_eq!(warm.len(), 10);
+
+        let (mut other, _) = controller();
+        assert!(other.load_state(&warm));
+        assert_eq!(other.last_setpoint.map(f64::to_bits), Some(sp.to_bits()));
+        assert!(other.load_state(&cold));
+        assert_eq!(other.last_setpoint, None);
+
+        let mut wrong_version = warm.clone();
+        wrong_version[0] = LAZIC_STATE_VERSION + 1;
+        let mut bad_flag = warm.clone();
+        bad_flag[1] = 2;
+        let mut trailing = cold.clone();
+        trailing.push(0);
+        for blob in [
+            &[][..],
+            &warm[..9],
+            &wrong_version[..],
+            &bad_flag[..],
+            &trailing[..],
+        ] {
+            assert!(!other.load_state(blob), "accepted {blob:?}");
+        }
+        assert_eq!(other.last_setpoint, None, "a refused blob changes nothing");
     }
 
     #[test]

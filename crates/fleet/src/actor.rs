@@ -21,6 +21,9 @@ pub fn zone_seed(base: u64, zone: ZoneId) -> u64 {
     base ^ (zone.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
+/// The per-minute series each zone writes, without the zone prefix.
+const ZONE_SERIES: [&str; 4] = ["setpoint_c", "cold_aisle_max_c", "acu.power_kw", "rung"];
+
 /// One zone of the fleet: a single-cell pod plus its control stack.
 pub struct ZoneActor {
     zone: ZoneId,
@@ -29,6 +32,8 @@ pub struct ZoneActor {
     supervisor: Supervisor,
     status: Arc<StatusBoard>,
     historian: Option<Arc<dyn MetricStore>>,
+    /// [`ZONE_SERIES`] with this zone's prefix, formatted once.
+    series: [String; 4],
     last_observed_cold_max: Celsius,
     config: EpisodeConfig,
 }
@@ -65,6 +70,7 @@ impl ZoneActor {
             supervisor,
             status,
             historian,
+            series: ZONE_SERIES.map(|name| zone.series(name)),
             last_observed_cold_max: Celsius::new(f64::NEG_INFINITY),
             config,
         })
@@ -164,22 +170,15 @@ impl ZoneActor {
         self.last_observed_cold_max = outcome.observed_cold_aisle_max;
         if let Some(store) = &self.historian {
             let t = (minute as f64) * 60.0;
-            store.insert(&self.zone.series("setpoint_c"), t, outcome.executed.value());
-            store.insert(
-                &self.zone.series("cold_aisle_max_c"),
-                t,
+            let values = [
+                outcome.executed.value(),
                 outcome.true_cold_aisle_max.value(),
-            );
-            store.insert(
-                &self.zone.series("acu.power_kw"),
-                t,
                 outcome.acu_power_kw.value(),
-            );
-            store.insert(
-                &self.zone.series("rung"),
-                t,
                 f64::from(self.supervisor.rung().index()),
-            );
+            ];
+            for (name, value) in self.series.iter().zip(values) {
+                store.insert(name, t, value);
+            }
         }
         Ok(outcome)
     }

@@ -176,14 +176,7 @@ fn budget_arbitration_relaxes_without_new_violations() {
 fn snapshot_resume_is_bit_identical() {
     let trace = sweep_trace();
     let minutes = 8;
-    let dir = std::env::temp_dir().join(format!(
-        "tesla_fleet_resume_{}_{}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ));
+    let dir = snapshot_dir("tesla_fleet_resume");
     let policy = FleetCheckpointPolicy {
         dir: dir.clone(),
         every_minutes: 4,
@@ -231,6 +224,63 @@ fn snapshot_resume_is_bit_identical() {
     assert_eq!(store.len("site.power_kw"), minutes);
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Lazic's search window is centred on its previous decision, so a
+/// resumed zone must restart from the saved centre, not from the cold
+/// start set-point.
+#[test]
+fn lazic_snapshot_resume_is_bit_identical() {
+    let trace = sweep_trace();
+    let minutes = 26;
+    let config = || {
+        let mut c = small_config(3, minutes, 1);
+        c.zone.seed = 5;
+        c
+    };
+    let policy = FleetCheckpointPolicy {
+        dir: snapshot_dir("tesla_fleet_lazic_resume"),
+        every_minutes: 20,
+        keep: 2,
+    };
+
+    let full = Fleet::new(config(), lazic_controllers(&trace, 3), None)
+        .expect("fleet")
+        .run(minutes, None)
+        .expect("run");
+
+    // Crash at minute 21 (snapshot landed at minute 20).
+    let mut crashed = Fleet::new(config(), lazic_controllers(&trace, 3), None).expect("fleet");
+    for _ in 0..21 {
+        crashed.step_minute().expect("step");
+        if crashed.minute().is_multiple_of(policy.every_minutes) {
+            crashed.write_snapshot(&policy).expect("snapshot");
+        }
+    }
+    drop(crashed);
+
+    let resumed =
+        Fleet::resume(config(), lazic_controllers(&trace, 3), None, &policy).expect("resume");
+    assert_eq!(resumed.minute(), 20, "restored at the snapshot cursor");
+    let report = resumed.run(minutes, None).expect("run");
+
+    for (i, (a, b)) in full.zones.iter().zip(&report.zones).enumerate() {
+        assert_eq!(a.setpoints, b.setpoints, "zone {i} set-points");
+        assert_eq!(a.cold_aisle_max, b.cold_aisle_max, "zone {i} cold aisle");
+    }
+    let _ = std::fs::remove_dir_all(&policy.dir);
+}
+
+/// A fresh snapshot directory under the system temp dir.
+fn snapshot_dir(tag: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!(
+        "{tag}_{}_{}",
+        std::process::id(),
+        std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .unwrap()
+            .as_nanos()
+    ))
 }
 
 /// With no snapshot on disk, resume is a cold start at cursor 0.

@@ -45,30 +45,58 @@ pub fn xt_y(x: &Matrix, y: &Matrix) -> Matrix {
 /// the bias, then each lag term in turn. The models' sums are
 /// independent, so four run side by side; each keeps its own order, so
 /// the results are bit-identical to computing the models one at a time.
-/// This is the window-dependent part of the ACU and DCS prepares.
+/// This is the window-dependent part of the ACU and DCS prepares, and
+/// each step of the Lazic rollout scan.
 pub(crate) fn lag_bases(models: &[Ridge], lag: &[f64], out: &mut [f64]) {
     debug_assert_eq!(models.len(), out.len());
-    let k = lag.len();
     let mut quads = models.chunks_exact(4);
     let mut outs = out.chunks_exact_mut(4);
     for (q, o) in (&mut quads).zip(&mut outs) {
-        let w = |i: usize| &q[i].folded_weights()[..k];
-        let (mut a0, mut a1, mut a2, mut a3) = (q[0].bias(), q[1].bias(), q[2].bias(), q[3].bias());
-        for ((((&x, &w0), &w1), &w2), &w3) in lag.iter().zip(w(0)).zip(w(1)).zip(w(2)).zip(w(3)) {
-            a0 += w0 * x;
-            a1 += w1 * x;
-            a2 += w2 * x;
-            a3 += w3 * x;
-        }
-        o.copy_from_slice(&[a0, a1, a2, a3]);
+        o.copy_from_slice(&lag_base4([&q[0], &q[1], &q[2], &q[3]], lag));
     }
     for (m, o) in quads.remainder().iter().zip(outs.into_remainder()) {
-        let mut acc = m.bias();
-        for (&wi, &xi) in m.folded_weights()[..k].iter().zip(lag) {
-            acc += wi * xi;
-        }
-        *o = acc;
+        *o = lag_base(m, lag);
     }
+}
+
+/// [`lag_bases`] over the models at the indices `at`: `out[i]` is model
+/// `at[i]`'s sum, with the same bits.
+pub(crate) fn lag_bases_at(models: &[Ridge], at: &[usize], lag: &[f64], out: &mut [f64]) {
+    debug_assert_eq!(at.len(), out.len());
+    let mut quads = at.chunks_exact(4);
+    let mut outs = out.chunks_exact_mut(4);
+    for (q, o) in (&mut quads).zip(&mut outs) {
+        let quad = [&models[q[0]], &models[q[1]], &models[q[2]], &models[q[3]]];
+        o.copy_from_slice(&lag_base4(quad, lag));
+    }
+    for (&k, o) in quads.remainder().iter().zip(outs.into_remainder()) {
+        *o = lag_base(&models[k], lag);
+    }
+}
+
+/// Four models' sums side by side, each in [`Ridge::predict`]'s order.
+#[inline]
+fn lag_base4(q: [&Ridge; 4], lag: &[f64]) -> [f64; 4] {
+    let k = lag.len();
+    let w = |i: usize| &q[i].folded_weights()[..k];
+    let (mut a0, mut a1, mut a2, mut a3) = (q[0].bias(), q[1].bias(), q[2].bias(), q[3].bias());
+    for ((((&x, &w0), &w1), &w2), &w3) in lag.iter().zip(w(0)).zip(w(1)).zip(w(2)).zip(w(3)) {
+        a0 += w0 * x;
+        a1 += w1 * x;
+        a2 += w2 * x;
+        a3 += w3 * x;
+    }
+    [a0, a1, a2, a3]
+}
+
+/// One model's sum in [`Ridge::predict`]'s order.
+#[inline]
+fn lag_base(m: &Ridge, lag: &[f64]) -> f64 {
+    let mut acc = m.bias();
+    for (&wi, &xi) in m.folded_weights()[..lag.len()].iter().zip(lag) {
+        acc += wi * xi;
+    }
+    acc
 }
 
 /// A design matrix whose lag block is shared across many regressions.
@@ -371,6 +399,14 @@ mod tests {
             lag_bases(&models, &lag, &mut out);
             for (m, o) in models.iter().zip(&out) {
                 assert_eq!(m.predict(&lag).to_bits(), o.to_bits(), "{count} models");
+            }
+            // Gathered: every other model, last first, so the indices are
+            // neither contiguous nor ascending.
+            let at: Vec<usize> = (0..count).rev().step_by(2).collect();
+            let mut gathered = vec![0.0; at.len()];
+            lag_bases_at(&models, &at, &lag, &mut gathered);
+            for (&k, g) in at.iter().zip(&gathered) {
+                assert_eq!(out[k].to_bits(), g.to_bits(), "{count} models, index {k}");
             }
         }
     }

@@ -58,7 +58,7 @@ pub mod recursive;
 pub mod trace;
 
 pub use model::{DcTimeSeriesModel, ModelConfig, Prediction, PreparedDecision};
-pub use recursive::RecursiveAr;
+pub use recursive::{RecursiveAr, RolloutScan};
 pub use trace::{window_from_store, ModelWindow, Trace};
 
 /// Errors produced while building datasets or fitting models.

@@ -11,10 +11,11 @@
 // analysis:allow-file(panic-free-control-path): dense numeric kernel;
 // every index is loop-bounded by lengths validated at the call
 // boundary, and debug_asserts guard the shape contracts.
-use crate::design::SharedDesign;
+use crate::design::{lag_bases, lag_bases_at, SharedDesign};
 use crate::trace::{ModelWindow, Trace};
 use crate::ForecastError;
 use tesla_linalg::{Matrix, Ridge};
+use tesla_units::Celsius;
 
 /// Fitted recursive AR model.
 #[derive(Debug, Clone)]
@@ -156,6 +157,135 @@ impl RecursiveAr {
         }
         Ok(out)
     }
+
+    /// Buffers for a scan over constant set-points held for `horizon`
+    /// steps, reading the rack sensors `watched`. Entries at or past the
+    /// rack-sensor count are ignored, as [`RecursiveAr::predict_rollout`]
+    /// returns no series for them.
+    pub fn rollout_scan(&self, horizon: usize, watched: &[usize]) -> RolloutScan {
+        let m = Self::state_dim(self.n_dc, self.n_acu);
+        let span = m * self.order;
+        let mut rack: Vec<usize> = Vec::with_capacity(watched.len());
+        for &k in watched {
+            if k < self.n_dc && !rack.contains(&k) {
+                rack.push(k);
+            }
+        }
+        RolloutScan {
+            horizon,
+            last: vec![0.0; rack.len()],
+            watched: rack,
+            frames: vec![0.0; horizon.saturating_sub(1) * m + span],
+            base: vec![0.0; m],
+            setpoint_weights: self
+                .models
+                .iter()
+                .map(|mo| mo.folded_weights()[span])
+                .collect(),
+        }
+    }
+
+    /// Loads `trace`'s newest frames into `scan` and computes each
+    /// model's first-step sum over them: the bias plus every lag term,
+    /// the set-point term left out. Fails like
+    /// [`RecursiveAr::predict_rollout`] when the sensor counts differ or
+    /// the trace holds fewer than `order` frames.
+    pub fn prepare_scan(&self, trace: &Trace, scan: &mut RolloutScan) -> Result<(), ForecastError> {
+        if trace.n_dc_sensors() != self.n_dc || trace.n_acu_sensors() != self.n_acu {
+            return Err(ForecastError::BadWindow(
+                "trace sensor count mismatch".into(),
+            ));
+        }
+        let len = trace.len();
+        if len < self.order {
+            return Err(ForecastError::BadWindow(
+                "recursive model needs more past frames".into(),
+            ));
+        }
+        let m = Self::state_dim(self.n_dc, self.n_acu);
+        let newest = scan.frames.len() - m * self.order;
+        for (back, frame) in scan.frames[newest..].chunks_exact_mut(m).enumerate() {
+            Self::write_frame(frame, trace, len - 1 - back);
+        }
+        lag_bases(&self.models, &scan.frames[newest..], &mut scan.base);
+        Ok(())
+    }
+
+    /// The max over the watched rack sensors of the rollout from the
+    /// prepared frames with `setpoint` held for the scan's horizon: the
+    /// bits of the max over the same series of
+    /// [`RecursiveAr::predict_rollout`], NaN outputs skipped. Each
+    /// output is that call's sum in its order of operations; the models'
+    /// sums run four at a time, and the last step computes only the
+    /// watched outputs. The running max only grows, so the rollout stops
+    /// once it reaches `limit`: a result at or above `limit` is then a
+    /// lower bound, not the max.
+    pub fn scan_max(&self, scan: &mut RolloutScan, setpoint: Celsius, limit: Celsius) -> Celsius {
+        let (setpoint, limit) = (setpoint.value(), limit.value());
+        let m = Self::state_dim(self.n_dc, self.n_acu);
+        let span = m * self.order;
+        let h = scan.horizon;
+        let mut max = f64::NEG_INFINITY;
+        // Step `i` reads the window at `(h - 1 - i) · m` and writes its
+        // outputs into the frame just below it, which is where step
+        // `i + 1`'s window starts: no frame is ever copied.
+        for step in 0..h.saturating_sub(1) {
+            let at = (h - 1 - step) * m;
+            let (below, window) = scan.frames.split_at_mut(at);
+            let next = &mut below[at - m..];
+            if step == 0 {
+                next.copy_from_slice(&scan.base);
+            } else {
+                lag_bases(&self.models, &window[..span], next);
+            }
+            for (y, &w) in next.iter_mut().zip(&scan.setpoint_weights) {
+                *y += w * setpoint;
+            }
+            for &k in &scan.watched {
+                max = max.max(next[k]);
+            }
+            if max >= limit {
+                return Celsius::new(max);
+            }
+        }
+        if h == 0 {
+            return Celsius::new(max);
+        }
+        if h == 1 {
+            for (o, &k) in scan.last.iter_mut().zip(&scan.watched) {
+                *o = scan.base[k];
+            }
+        } else {
+            let window = &scan.frames[..span];
+            lag_bases_at(&self.models, &scan.watched, window, &mut scan.last);
+        }
+        for (o, &k) in scan.last.iter_mut().zip(&scan.watched) {
+            *o += scan.setpoint_weights[k] * setpoint;
+            max = max.max(*o);
+        }
+        Celsius::new(max)
+    }
+}
+
+/// The buffers of [`RecursiveAr::scan_max`]: one decision's newest
+/// frames, each model's first-step sum over them, and room for a
+/// candidate's rollout. [`RecursiveAr::rollout_scan`] sizes them once;
+/// [`RecursiveAr::prepare_scan`] refills them per decision, so a scan
+/// allocates nothing.
+#[derive(Debug, Clone)]
+pub struct RolloutScan {
+    horizon: usize,
+    /// The watched rack sensors, each once.
+    watched: Vec<usize>,
+    /// Frames newest first: the decision's `order` frames at the end,
+    /// and below them one frame per rollout step but the last.
+    frames: Vec<f64>,
+    /// Each model's bias plus its lag terms over the decision's frames.
+    base: Vec<f64>,
+    /// Each model's set-point weight, its last feature.
+    setpoint_weights: Vec<f64>,
+    /// The last step's watched outputs.
+    last: Vec<f64>,
 }
 
 #[cfg(test)]

@@ -239,17 +239,24 @@ impl HealthMonitor {
         // lie (slow drift, stuck at a plausible value). Requires at least
         // three peers so a single outlier cannot hijack the consensus.
         if self.cfg.peer_deviation.is_finite() && clean_candidates.len() >= 4 {
-            let values: Vec<f64> = clean_candidates.iter().map(|&k| readings[k]).collect();
-            for (i, &k) in clean_candidates.iter().enumerate() {
-                let mut peers: Vec<f64> = values
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != i)
-                    .map(|(_, &v)| v)
-                    .collect();
-                peers.sort_by(|a, b| a.total_cmp(b));
-                let peer_median = peers[peers.len() / 2];
-                if (values[i] - peer_median).abs() > self.cfg.peer_deviation {
+            // One sort serves every candidate. The others' median is slot
+            // `mid` of the sorted values with the candidate's own value
+            // taken out: slot `mid` itself when the candidate sorts after
+            // it, else the next slot. Values tied under `total_cmp` are
+            // bit-equal, so which tied slot is the candidate's own does
+            // not matter.
+            let mut sorted: Vec<f64> = clean_candidates.iter().map(|&k| readings[k]).collect();
+            sorted.sort_unstable_by(f64::total_cmp);
+            let mid = (sorted.len() - 1) / 2;
+            let (below, above) = (sorted[mid], sorted[mid + 1]);
+            for &k in &clean_candidates {
+                let value = readings[k];
+                let peer_median = if below.total_cmp(&value).is_lt() {
+                    below
+                } else {
+                    above
+                };
+                if (value - peer_median).abs() > self.cfg.peer_deviation {
                     let s = &mut self.signals[k];
                     if s.quarantine_left == 0 {
                         report.newly_quarantined.push(k);
@@ -269,17 +276,23 @@ impl HealthMonitor {
         }
 
         // Cross-sensor median of healthy raw readings, for imputation.
-        let mut healthy: Vec<f64> = readings
+        // Only a quarantined signal reads it.
+        let quarantined_now = self
+            .signals
             .iter()
-            .enumerate()
-            .filter(|&(k, v)| !self.is_quarantined(k) && v.is_finite())
-            .map(|(_, &v)| v)
-            .collect();
-        let median = if healthy.is_empty() {
+            .filter(|s| s.quarantine_left > 0)
+            .count();
+        let median = if quarantined_now == 0 {
             None
         } else {
-            healthy.sort_by(|a, b| a.total_cmp(b));
-            Some(healthy[healthy.len() / 2])
+            let mut healthy: Vec<f64> = readings
+                .iter()
+                .enumerate()
+                .filter(|&(k, v)| !self.is_quarantined(k) && v.is_finite())
+                .map(|(_, &v)| v)
+                .collect();
+            healthy.sort_unstable_by(f64::total_cmp);
+            healthy.get(healthy.len() / 2).copied()
         };
 
         // Pass 2: impute quarantined signals.
@@ -299,7 +312,7 @@ impl HealthMonitor {
             }
         }
 
-        report.quarantined_now = self.quarantined().len();
+        report.quarantined_now = quarantined_now;
         report
     }
 }
@@ -534,5 +547,205 @@ mod tests {
         let mut m = monitor(3);
         let mut r = vec![1.0];
         m.sanitize(&mut r);
+    }
+
+    /// The sanitize of the per-candidate peer sort, kept verbatim as the
+    /// reference the one-sort version must match bit for bit.
+    fn reference_sanitize(m: &mut HealthMonitor, readings: &mut [f64]) -> SanitizeReport {
+        assert_eq!(
+            readings.len(),
+            m.signals.len(),
+            "sample width {} != monitor width {}",
+            readings.len(),
+            m.signals.len()
+        );
+        m.samples_seen += 1;
+        let mut report = SanitizeReport::default();
+
+        // Pass 1: per-signal detection and quarantine bookkeeping on raw
+        // values. Signals that look clean in isolation are only promoted
+        // to `last_good` after the cross-sensor peer check below —
+        // otherwise an in-band liar would poison its own fallback value.
+        let mut clean_candidates: Vec<usize> = Vec::new();
+        for (k, &raw) in readings.iter().enumerate() {
+            let s = &mut m.signals[k];
+            // Track the repeat run on the raw stream: after this update,
+            // flat_run + 1 is the length of the current identical run.
+            match s.prev_raw {
+                Some(prev) if raw.is_finite() && (raw - prev).abs() <= m.cfg.flatline_epsilon => {
+                    s.flat_run += 1
+                }
+                _ => s.flat_run = 0,
+            }
+            s.prev_raw = raw.is_finite().then_some(raw);
+
+            let fault = if !raw.is_finite() {
+                Some(HealthFault::Dropout)
+            } else if raw < m.cfg.min_value || raw > m.cfg.max_value {
+                Some(HealthFault::OutOfRange)
+            } else if m.cfg.flatline_window >= 2 && s.flat_run + 1 >= m.cfg.flatline_window {
+                Some(HealthFault::Flatline)
+            } else {
+                None
+            };
+
+            match fault {
+                Some(f) => {
+                    if s.quarantine_left == 0 {
+                        report.newly_quarantined.push(k);
+                    }
+                    s.fault = Some(f);
+                    s.quarantine_left = m.cfg.quarantine_samples.max(1);
+                }
+                None => {
+                    if s.quarantine_left > 0 {
+                        s.quarantine_left -= 1;
+                    }
+                    // Re-admission (and first admission) goes through the
+                    // peer check below, so a persistent in-band liar is
+                    // re-caught the moment its holdoff expires.
+                    if s.quarantine_left == 0 {
+                        clean_candidates.push(k);
+                    }
+                }
+            }
+        }
+
+        // Cross-sensor consistency: a clean-looking signal that strays too
+        // far from the median of the *other* clean signals is an in-band
+        // lie (slow drift, stuck at a plausible value). Requires at least
+        // three peers so a single outlier cannot hijack the consensus.
+        if m.cfg.peer_deviation.is_finite() && clean_candidates.len() >= 4 {
+            let values: Vec<f64> = clean_candidates.iter().map(|&k| readings[k]).collect();
+            for (i, &k) in clean_candidates.iter().enumerate() {
+                let mut peers: Vec<f64> = values
+                    .iter()
+                    .enumerate()
+                    .filter(|&(j, _)| j != i)
+                    .map(|(_, &v)| v)
+                    .collect();
+                peers.sort_by(|a, b| a.total_cmp(b));
+                let peer_median = peers[peers.len() / 2];
+                if (values[i] - peer_median).abs() > m.cfg.peer_deviation {
+                    let s = &mut m.signals[k];
+                    if s.quarantine_left == 0 {
+                        report.newly_quarantined.push(k);
+                    }
+                    s.fault = Some(HealthFault::PeerDeviation);
+                    s.quarantine_left = m.cfg.quarantine_samples.max(1);
+                }
+            }
+        }
+
+        // Survivors of both checks become the new last-good references.
+        for &k in &clean_candidates {
+            let s = &mut m.signals[k];
+            if s.quarantine_left == 0 {
+                s.last_good = Some(readings[k]);
+            }
+        }
+
+        // Cross-sensor median of healthy raw readings, for imputation.
+        let mut healthy: Vec<f64> = readings
+            .iter()
+            .enumerate()
+            .filter(|&(k, v)| !m.is_quarantined(k) && v.is_finite())
+            .map(|(_, &v)| v)
+            .collect();
+        let median = if healthy.is_empty() {
+            None
+        } else {
+            healthy.sort_by(|a, b| a.total_cmp(b));
+            Some(healthy[healthy.len() / 2])
+        };
+
+        // Pass 2: impute quarantined signals.
+        for (k, v) in readings.iter_mut().enumerate() {
+            if !m.is_quarantined(k) {
+                continue;
+            }
+            let imputed = median.or(m.signals[k].last_good);
+            if let Some(value) = imputed {
+                *v = value;
+                report.imputed.push(k);
+            } else if !v.is_finite() {
+                // No reference at all (first samples of a dead sensor):
+                // fall back to mid-range so windows stay finite.
+                *v = 0.5 * (m.cfg.min_value + m.cfg.max_value);
+                report.imputed.push(k);
+            }
+        }
+
+        report.quarantined_now = m.quarantined().len();
+        report
+    }
+
+    /// One sample of a `width`-sensor aisle at minute `t`: values on a
+    /// 0.25 °C grid, so ties are common, spread about as wide as the
+    /// peer threshold below, so the median's slot decides verdicts, plus
+    /// peer outliers, NaN dropouts, out-of-range readings and two
+    /// flatlined sensors.
+    fn stressed_sample(width: usize, t: usize, rng: &mut u64) -> Vec<f64> {
+        let mut next = || {
+            *rng = rng
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (*rng >> 33) as usize
+        };
+        (0..width)
+            .map(|k| {
+                let roll = next() % 100;
+                let grid = 21.0 + 0.25 * (next() % 12) as f64;
+                if k == 1 && (40..80).contains(&t) {
+                    23.0 // flatline inside the band
+                } else if k == width - 1 && t >= 150 {
+                    18.5 // flatline, later an outlier too
+                } else if roll < 5 {
+                    f64::NAN
+                } else if roll < 8 {
+                    if roll % 2 == 0 {
+                        60.0
+                    } else {
+                        -3.0
+                    }
+                } else if roll < 14 {
+                    grid + 4.0
+                } else {
+                    grid
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_sort_sanitize_matches_the_per_candidate_sort_bit_for_bit() {
+        let cfg = HealthConfig {
+            flatline_window: 6,
+            quarantine_samples: 4,
+            peer_deviation: 1.0,
+            ..HealthConfig::default()
+        };
+        for width in [4, 5, 11, 24, 40] {
+            let mut fast = HealthMonitor::new(width, cfg.clone());
+            let mut reference = HealthMonitor::new(width, cfg.clone());
+            let mut rng = width as u64;
+            let mut peer_trips = 0;
+            for t in 0..200 {
+                let raw = stressed_sample(width, t, &mut rng);
+                let (mut a, mut b) = (raw.clone(), raw);
+                let got = fast.sanitize(&mut a);
+                let want = reference_sanitize(&mut reference, &mut b);
+                let bits = |r: &[f64]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&a), bits(&b), "width {width}, sample {t}: values");
+                assert_eq!(got, want, "width {width}, sample {t}: report");
+                assert_eq!(fast.quarantined(), reference.quarantined());
+                peer_trips += got
+                    .newly_quarantined
+                    .iter()
+                    .filter(|&&k| fast.fault(k) == Some(HealthFault::PeerDeviation))
+                    .count();
+            }
+            assert!(peer_trips > 0, "width {width}: the peer check never fired");
+        }
     }
 }

@@ -3,12 +3,13 @@
 //!
 //! The engine proves reachability properties from declared roots (see
 //! [`workspace_rule_config`]): panic-freedom on the control path, no
-//! steady-state heap allocation under `TeslaController::decide`, a
-//! global lock acquisition order, and no blocking calls inside the
-//! deadline-bounded `Supervisor::decide` path. Findings are gated by a
-//! ratchet: `analysis-baseline.json` records the allowed active count
-//! per rule, `--deny` fails when a count grows, and the baseline only
-//! ever goes down (`--write-baseline` after a burn-down).
+//! steady-state heap allocation under `TeslaController::decide` and
+//! `LazicController::decide`, a global lock acquisition order, and no
+//! blocking calls inside the deadline-bounded `Supervisor::decide`
+//! path. Findings are gated by a ratchet: `analysis-baseline.json`
+//! records the allowed active count per rule, `--deny` fails when a
+//! count grows, and the baseline only ever goes down
+//! (`--write-baseline` after a burn-down).
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -51,7 +52,10 @@ pub fn workspace_rule_config() -> RuleConfig {
         .iter()
         .map(|s| s.to_string())
         .collect(),
-        alloc_roots: vec!["TeslaController::decide".to_string()],
+        alloc_roots: vec![
+            "TeslaController::decide".to_string(),
+            "LazicController::decide".to_string(),
+        ],
         blocking_roots: vec![
             "Supervisor::decide".to_string(),
             // One reactor sweep: everything a shard thread runs per

@@ -4,7 +4,7 @@
 //!
 //! Each tier steps a row-topology fleet (neighbour bleed 0.4 kW/K, one
 //! Lazic-controlled pod per zone) through a full lock-step episode on
-//! the work-stealing scheduler and reports:
+//! the fleet scheduler and reports:
 //!
 //! * `fleet_zone_minutes_per_second` — zone-minutes simulated per
 //!   wall-second at the 8-zone tier (the `cargo xtask bench-diff`

@@ -50,38 +50,19 @@ use tesla_units::Celsius;
 /// Generates the §5.1 train/test traces (sweep data under random load
 /// settings). `train_days`/`test_days` shrink the paper's 30 + 14 days to
 /// whatever the caller's budget allows; the protocol is identical.
-///
-/// Traces are cached under `bench_results/` (keyed by days and seed) so
-/// repeated benchmark invocations skip the simulation.
 pub fn train_test_traces(train_days: f64, test_days: f64, seed: u64) -> (Trace, Trace) {
-    let train = cached_sweep(train_days, seed);
-    let test = cached_sweep(test_days, seed ^ 0x5EED_7E57);
+    let train = sweep(train_days, seed);
+    let test = sweep(test_days, seed ^ 0x5EED_7E57);
     (train, test)
 }
 
-fn cached_sweep(days: f64, seed: u64) -> Trace {
-    let dir = PathBuf::from("bench_results");
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join(format!(
-        "sweep_{}m_{seed:x}.csv",
-        (days * 1440.0).round() as u64
-    ));
-    if path.exists() {
-        if let Ok(trace) = tesla_forecast::io::load_csv(&path) {
-            let expected = (days * 1440.0).round() as usize;
-            if trace.len() == expected {
-                return trace;
-            }
-        }
-    }
-    let trace = generate_sweep_trace(&DatasetConfig {
+fn sweep(days: f64, seed: u64) -> Trace {
+    generate_sweep_trace(&DatasetConfig {
         days,
         seed,
         ..DatasetConfig::default()
     })
-    .expect("sweep generation");
-    let _ = tesla_forecast::io::save_csv(&trace, &path);
-    trace
+    .expect("sweep generation")
 }
 
 /// True when the bare flag `--name` appears on the command line.
@@ -491,16 +472,6 @@ pub fn run_standard_episode(
 mod tests {
     use super::*;
     use tesla_forecast::ModelConfig;
-
-    #[test]
-    fn cached_sweep_roundtrip_matches() {
-        // Second call must come from the CSV cache and match exactly.
-        let a = cached_sweep(0.02, 0xABCDE);
-        let b = cached_sweep(0.02, 0xABCDE);
-        assert_eq!(a.setpoint, b.setpoint);
-        assert_eq!(a.avg_power, b.avg_power);
-        let _ = std::fs::remove_file("bench_results/sweep_29m_abcde.csv");
-    }
 
     #[test]
     fn traces_and_mape_protocol_smoke() {

@@ -12,7 +12,7 @@ use crate::CoreError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tesla_forecast::Trace;
-use tesla_sim::{FaultPlan, SimConfig, Testbed};
+use tesla_sim::{FaultPlan, SimConfig, SimError, Testbed};
 use tesla_units::{Celsius, NOMINAL_SETPOINT};
 use tesla_workload::{DiurnalProfile, LoadSetting, Orchestrator, Placement};
 
@@ -58,6 +58,17 @@ impl Default for EpisodeConfig {
             faults: FaultPlan::none(),
             retention: None,
         }
+    }
+}
+
+impl EpisodeConfig {
+    /// Builds this episode's plant: a [`Testbed`] seeded with `seed` that
+    /// carries the fault plan. Every episode runner and every fleet pod
+    /// builds its plant here, so none of them can drop a field.
+    pub fn testbed(&self) -> Result<Testbed, SimError> {
+        let mut testbed = Testbed::new(self.sim.clone(), self.seed)?;
+        testbed.set_fault_plan(self.faults.clone());
+        Ok(testbed)
     }
 }
 
@@ -122,8 +133,7 @@ pub fn run_episode(
     controller: &mut dyn Controller,
     config: &EpisodeConfig,
 ) -> Result<EvalResult, CoreError> {
-    let mut testbed = Testbed::new(config.sim.clone(), config.seed)?;
-    testbed.set_fault_plan(config.faults.clone());
+    let mut testbed = config.testbed()?;
     let mut orch = Orchestrator::with_placement(config.sim.n_servers, config.placement);
     let mut profile = DiurnalProfile::new(config.setting, config.minutes as f64 * 60.0);
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0xEE);

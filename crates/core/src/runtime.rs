@@ -55,8 +55,7 @@ pub fn run_episode_threaded(
     config: &EpisodeConfig,
     store: Arc<dyn MetricStore>,
 ) -> Result<EvalResult, CoreError> {
-    let mut testbed = Testbed::new(config.sim.clone(), config.seed)?;
-    testbed.set_fault_plan(config.faults.clone());
+    let testbed = config.testbed()?;
     let mut supervisor = Supervisor::new(SupervisorConfig {
         d_allowed: config.d_allowed,
         ..SupervisorConfig::default()

@@ -45,7 +45,7 @@ use crate::experiment::{EpisodeConfig, EvalResult};
 use crate::CoreError;
 use std::time::{Duration, Instant};
 use tesla_forecast::Trace;
-use tesla_sim::{CoolingPlant, SimError, Testbed};
+use tesla_sim::{CoolingPlant, SimError};
 use tesla_units::{Celsius, DegC, NOMINAL_SETPOINT, SETPOINT_RANGE};
 
 /// The degradation ladder's rungs, mildest first.
@@ -586,7 +586,7 @@ impl Supervisor {
         }
     }
 
-    /// Writes `sp` to the plant (a [`Testbed`] or any other
+    /// Writes `sp` to the plant (a [`tesla_sim::Testbed`] or any other
     /// [`CoolingPlant`]), retrying transient Modbus failures (timeouts,
     /// device rejections) with the shared jittered-exponential backoff
     /// policy. Validation errors (out-of-spec set-points) are not
@@ -850,8 +850,7 @@ pub(crate) fn run_supervised_episode_with(
     config: &EpisodeConfig,
     mut hooks: EngineHooks<'_>,
 ) -> Result<EvalResult, CoreError> {
-    let mut testbed = Testbed::new(config.sim.clone(), config.seed)?;
-    testbed.set_fault_plan(config.faults.clone());
+    let testbed = config.testbed()?;
     controller.reset();
     supervisor.reset();
     if let Some(reason) = hooks.start_elevated {
@@ -916,7 +915,7 @@ mod tests {
     use crate::fixed::FixedController;
     use tesla_sim::{
         ActuatorFault, ActuatorFaultKind, FaultPlan, FaultWindow, PlantFault, PlantFaultKind,
-        SensorFault, SensorFaultKind, SensorTarget, SimConfig,
+        SensorFault, SensorFaultKind, SensorTarget, SimConfig, Testbed,
     };
     use tesla_workload::LoadSetting;
 

@@ -8,7 +8,7 @@ use tesla_core::{
     SupervisorConfig, ZoneEpisode,
 };
 use tesla_historian::MetricStore;
-use tesla_sim::{MultiZoneConfig, MultiZoneTestbed};
+use tesla_sim::Testbed;
 use tesla_units::{Celsius, ZoneId};
 
 use crate::coordinator::ZoneDecision;
@@ -24,10 +24,11 @@ pub fn zone_seed(base: u64, zone: ZoneId) -> u64 {
 /// The per-minute series each zone writes, without the zone prefix.
 const ZONE_SERIES: [&str; 4] = ["setpoint_c", "cold_aisle_max_c", "acu.power_kw", "rung"];
 
-/// One zone of the fleet: a single-cell pod plus its control stack.
+/// One zone of the fleet: a pod (one [`Testbed`] cell) plus its control
+/// stack.
 pub struct ZoneActor {
     zone: ZoneId,
-    episode: ZoneEpisode<MultiZoneTestbed>,
+    episode: ZoneEpisode<Testbed>,
     controller: Box<dyn Controller + Send>,
     supervisor: Supervisor,
     status: Arc<StatusBoard>,
@@ -39,11 +40,12 @@ pub struct ZoneActor {
 }
 
 impl ZoneActor {
-    /// Builds the zone's pod (a one-cell [`MultiZoneTestbed`] seeded with
-    /// the zone-derived seed so fleet trajectories are reproducible and
-    /// zone 0 matches the plain testbed), wraps it in episode state, and
-    /// resets the control stack. `config.seed` must already be the
-    /// zone-derived seed (see [`zone_seed`]).
+    /// Builds the zone's pod with [`EpisodeConfig::testbed`], the
+    /// constructor every single-zone runner uses (seed and fault plan),
+    /// wraps it in episode state, and resets the control stack.
+    /// `config.seed` must already be the zone-derived seed (see
+    /// [`zone_seed`]); zone 0 keeps the base seed, so a one-zone fleet
+    /// replays the single-zone episode.
     pub fn new(
         zone: ZoneId,
         config: EpisodeConfig,
@@ -51,13 +53,7 @@ impl ZoneActor {
         supervisor_config: SupervisorConfig,
         historian: Option<Arc<dyn MetricStore>>,
     ) -> Result<Self, FleetError> {
-        let pod = MultiZoneTestbed::with_zone_seeds(
-            MultiZoneConfig {
-                zones: vec![config.sim.clone()],
-                coupling_kw_per_k: 0.0,
-            },
-            &[config.seed],
-        )?;
+        let pod = config.testbed()?;
         controller.reset();
         let mut supervisor = Supervisor::new(supervisor_config);
         supervisor.reset();
@@ -202,10 +198,7 @@ impl ZoneActor {
     // lint:allow(no-raw-f64-in-public-api): kJ/K capacity has no newtype
     pub fn hot_aisle(&self) -> (Celsius, f64) {
         let plant = self.episode.plant();
-        (
-            plant.hot_aisle_temp(0).unwrap_or(Celsius::new(f64::NAN)),
-            plant.hot_aisle_capacity_kj_per_k(0).unwrap_or(f64::NAN),
-        )
+        (plant.hot_aisle_temp(), plant.hot_aisle_capacity_kj_per_k())
     }
 
     /// Deposits (or withdraws, negative) bleed energy into the pod's hot
@@ -214,7 +207,7 @@ impl ZoneActor {
     pub fn add_hot_aisle_energy_kj(&mut self, energy_kj: f64) -> Result<(), FleetError> {
         self.episode
             .plant_mut()
-            .add_hot_aisle_energy_kj(0, energy_kj)?;
+            .add_hot_aisle_energy_kj(energy_kj)?;
         Ok(())
     }
 

@@ -292,8 +292,9 @@ impl Fleet {
     /// Phase 4: pairwise hot-aisle heat exchange along the topology's
     /// edges. All temperatures are snapshotted first, so each edge moves
     /// `g · (T_a − T_b) · 60 s` kilojoules from the warmer to the cooler
-    /// pod regardless of edge order — the exchange is symmetric under
-    /// zone swap and conserves `Σ C·T` exactly (up to float rounding).
+    /// pod regardless of edge order, and the exchange conserves `Σ C·T`
+    /// up to float rounding. A pod with two edges adds their transfers
+    /// in list order, so edge order moves its result only by rounding.
     fn exchange_bleed(&mut self) -> Result<(), FleetError> {
         if self.config.topology.edges().is_empty() {
             return Ok(());

@@ -15,9 +15,9 @@
 //! * [`ZoneActor`] — one pod's plant + controller + supervisor +
 //!   episode state, owned together so a scheduler worker can step a
 //!   zone without touching shared state;
-//! * [`scheduler::run_sharded`] — a fixed-size work-stealing scheduler
-//!   (std threads, sharded run queues, no unsafe, no external crates)
-//!   fanning the per-zone phases across cores;
+//! * [`scheduler::run_sharded`] — a fixed-size scheduler (std threads
+//!   claiming zone indices from one shared atomic cursor, no unsafe, no
+//!   external crates) fanning the per-zone phases across cores;
 //! * [`FleetCoordinator`] — the site power-budget arbiter: proportional
 //!   set-point relaxation when the site exceeds its budget, with the
 //!   thermal-safety envelope always winning over the budget;

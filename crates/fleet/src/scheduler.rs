@@ -1,12 +1,12 @@
-//! A fixed-size work-stealing scheduler for per-zone stepping.
+//! A fixed-size shared-cursor scheduler for per-zone stepping.
 //!
 //! The fleet runner fans each phase of the control minute (decide,
 //! advance) across a fixed worker pool. The work items are zone indices;
 //! zone state lives in `Mutex`-wrapped actors owned by the caller, so the
-//! scheduler only moves *indices*. Zones are dealt round-robin into one
-//! sharded run queue per worker; a worker drains its own shard from the
-//! front and, when empty, steals from the other shards' backs. No new
-//! work is produced mid-phase, so "every shard empty" is the termination
+//! scheduler only moves *indices*. Workers claim the next unclaimed index
+//! from one shared atomic cursor, so a slow zone holds up only the worker
+//! that claimed it while the others drain the rest. No new work is
+//! produced mid-phase, so a cursor past the last index is the termination
 //! condition — no condition variables, no unsafe, no external crates.
 //!
 //! Determinism: every zone's task is independent (its own plant, RNG,
@@ -15,7 +15,7 @@
 //! result. One worker and sixteen workers produce bit-identical per-zone
 //! outputs; the scheduler only trades wall-clock for cores.
 
-use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Runs `task` once per item index in `0..n` across `workers` threads,
@@ -31,44 +31,20 @@ where
     if workers <= 1 || n <= 1 {
         return (0..n).map(task).collect();
     }
-    let workers = workers.min(n);
-    let shards: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| {
-            // Round-robin deal: shard w owns zones w, w+workers, ...
-            Mutex::new((w..n).step_by(workers).collect())
-        })
-        .collect();
+    let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
 
     std::thread::scope(|scope| {
-        for w in 0..workers {
-            let shards = &shards;
-            let slots = &slots;
-            let task = &task;
-            scope.spawn(move || {
-                let mut steals = 0u64;
-                loop {
-                    // Own shard first (front: cache-friendly dealt order),
-                    // then sweep the others stealing from the back.
-                    let mut next = shards[w].lock().expect("shard lock").pop_front();
-                    if next.is_none() {
-                        for v in 1..workers {
-                            let victim = (w + v) % workers;
-                            if let Some(stolen) =
-                                shards[victim].lock().expect("shard lock").pop_back()
-                            {
-                                steals += 1;
-                                next = Some(stolen);
-                                break;
-                            }
-                        }
-                    }
-                    let Some(idx) = next else { break };
-                    *slots[idx].lock().expect("slot lock") = Some(task(idx));
+        for _ in 0..workers.min(n) {
+            scope.spawn(|| loop {
+                // Relaxed suffices: the cursor hands out indices and
+                // publishes nothing else; results reach the caller through
+                // the slot mutexes and the scope's join.
+                let idx = cursor.fetch_add(1, Ordering::Relaxed);
+                if idx >= n {
+                    break;
                 }
-                if steals > 0 {
-                    tesla_obs::counter!("tesla_fleet_steals_total").add(steals);
-                }
+                *slots[idx].lock().expect("slot lock") = Some(task(idx));
             });
         }
     });
@@ -78,7 +54,7 @@ where
         .map(|slot| {
             slot.into_inner()
                 .expect("slot lock")
-                .expect("every zone index is dealt to exactly one shard")
+                .expect("every index below n is claimed exactly once")
         })
         .collect()
 }
@@ -86,7 +62,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn results_come_back_in_index_order() {
@@ -108,9 +83,10 @@ mod tests {
     }
 
     #[test]
-    fn uneven_loads_are_stolen_not_serialized() {
-        // One slow zone must not pin the other 15 behind it on the same
-        // shard: with stealing, total wall time stays near the slow task.
+    fn a_slow_zone_does_not_serialize_the_rest() {
+        // One slow zone must not hold the other 15 behind it: while one
+        // worker runs it, the others keep claiming from the cursor, so
+        // total wall time stays near the slow task.
         let start = std::time::Instant::now();
         run_sharded(4, 16, |i| {
             if i == 0 {
@@ -119,7 +95,7 @@ mod tests {
                 std::thread::sleep(std::time::Duration::from_millis(5));
             }
         });
-        // Serial would be 80 + 15*5 = 155 ms; stolen-balanced stays
+        // Serial would be 80 + 15*5 = 155 ms; the shared cursor stays
         // close to the 80 ms straggler. Generous bound for slow CI.
         assert!(start.elapsed() < std::time::Duration::from_millis(150));
     }

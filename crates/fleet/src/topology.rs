@@ -2,7 +2,7 @@
 //! thermal-bleed graph.
 //!
 //! A *pod* is one containment cell — servers, one ACU, its own sensor
-//! array — modeled as a single-cell [`tesla_sim::MultiZoneTestbed`].
+//! array — modeled as one [`tesla_sim::Testbed`].
 //! Pods in the same hall are not thermally independent: hot-aisle air
 //! leaks through containment seams and shared plenums, so the topology
 //! carries an undirected edge list with a bleed conductance per edge.

@@ -10,6 +10,10 @@ use tesla_core::{
 };
 use tesla_fleet::{Fleet, FleetCheckpointPolicy, FleetConfig, FleetReport, FleetTopology};
 use tesla_historian::{Historian, HistorianConfig, MetricStore};
+use tesla_sim::{
+    ActuatorFault, ActuatorFaultKind, FaultPlan, FaultWindow, SensorFault, SensorFaultKind,
+    SensorTarget,
+};
 use tesla_units::{Kilowatts, ZoneId};
 
 fn sweep_trace() -> tesla_forecast::Trace {
@@ -98,39 +102,58 @@ fn worker_count_does_not_change_zone_trajectories() {
     }
 }
 
-/// Satellite: a one-zone fleet (no bleed edges, infinite budget) is
-/// bit-identical to the plain single-zone supervised episode.
+/// A one-zone fleet (no bleed edges, infinite budget) is bit-identical
+/// to the plain single-zone supervised episode, with and without a fault
+/// plan: the pod is built by the same constructor, so it honours
+/// `EpisodeConfig::faults`. Warm-up is 5 minutes, so both fault windows
+/// fall in metered minutes.
 #[test]
 fn one_zone_fleet_matches_the_single_zone_episode() {
     let trace = sweep_trace();
-    let zone_cfg = EpisodeConfig {
-        minutes: 6,
-        warmup_minutes: 5,
-        seed: 9,
-        ..Default::default()
+    let faulted = FaultPlan {
+        actuators: vec![ActuatorFault {
+            kind: ActuatorFaultKind::RejectedRegister,
+            window: FaultWindow::new(6.0, 9.0),
+        }],
+        sensors: vec![SensorFault {
+            target: SensorTarget::DcSensor(0),
+            kind: SensorFaultKind::StuckAt(30.0),
+            window: FaultWindow::new(7.0, 10.0),
+        }],
+        ..FaultPlan::default()
     };
+    for faults in [FaultPlan::none(), faulted] {
+        let zone_cfg = EpisodeConfig {
+            minutes: 6,
+            warmup_minutes: 5,
+            seed: 9,
+            faults,
+            ..Default::default()
+        };
 
-    let mut solo = LazicController::new(&trace, Default::default()).expect("lazic fit");
-    let mut supervisor = Supervisor::new(SupervisorConfig::default());
-    let single = run_supervised_episode(&mut solo, &mut supervisor, &zone_cfg).expect("episode");
+        let mut solo = LazicController::new(&trace, Default::default()).expect("lazic fit");
+        let mut supervisor = Supervisor::new(SupervisorConfig::default());
+        let single =
+            run_supervised_episode(&mut solo, &mut supervisor, &zone_cfg).expect("episode");
 
-    let config = FleetConfig {
-        topology: FleetTopology::row(1, Kilowatts::new(125.0), 0.0).unwrap(),
-        zone: zone_cfg,
-        ..Default::default()
-    };
-    let report = Fleet::new(config, lazic_controllers(&trace, 1), None)
-        .expect("fleet")
-        .run(6, None)
-        .expect("run");
+        let config = FleetConfig {
+            topology: FleetTopology::row(1, Kilowatts::new(125.0), 0.0).unwrap(),
+            zone: zone_cfg,
+            ..Default::default()
+        };
+        let report = Fleet::new(config, lazic_controllers(&trace, 1), None)
+            .expect("fleet")
+            .run(6, None)
+            .expect("run");
 
-    assert_eq!(single.setpoints, report.zones[0].setpoints);
-    assert_eq!(single.cold_aisle_max, report.zones[0].cold_aisle_max);
-    assert_eq!(single.acu_power, report.zones[0].acu_power);
-    assert_eq!(
-        single.cooling_energy_kwh.to_bits(),
-        report.zones[0].cooling_energy_kwh.to_bits()
-    );
+        assert_eq!(single.setpoints, report.zones[0].setpoints);
+        assert_eq!(single.cold_aisle_max, report.zones[0].cold_aisle_max);
+        assert_eq!(single.acu_power, report.zones[0].acu_power);
+        assert_eq!(
+            single.cooling_energy_kwh.to_bits(),
+            report.zones[0].cooling_energy_kwh.to_bits()
+        );
+    }
 }
 
 /// A tight site budget activates arbitration, raises set-points only

@@ -62,7 +62,6 @@ pub mod acu;
 pub mod config;
 pub mod faults;
 pub mod modbus;
-pub mod multizone;
 pub mod pid;
 pub mod plant;
 pub mod sensors;
@@ -75,7 +74,6 @@ pub use faults::{
     ActuatorFault, ActuatorFaultKind, FaultPlan, FaultWindow, PlantFault, PlantFaultKind,
     SensorFault, SensorFaultKind, SensorTarget,
 };
-pub use multizone::{MultiZoneConfig, MultiZoneTestbed};
 pub use plant::CoolingPlant;
 pub use testbed::{Observation, Testbed};
 

@@ -1,12 +1,11 @@
 //! The plant abstraction the control plane steps against.
 //!
-//! The supervised episode engine used to be hard-wired to [`Testbed`];
-//! fleet-scale control runs hundreds of zones, each of which is a
-//! single-cell [`MultiZoneTestbed`] pod so the site layer can bleed heat
-//! between neighbours. [`CoolingPlant`] is the seam between the two: the
-//! minimal write/step surface a supervisor needs, implemented by both.
+//! [`CoolingPlant`] is the minimal write/step surface a supervisor
+//! needs. [`Testbed`] is the one plant; the trait lets callers wrap it
+//! without touching the episode engine — the threaded runtime collects
+//! every observation into a store on the way through, and a benchmark
+//! can time each step.
 
-use crate::multizone::MultiZoneTestbed;
 use crate::testbed::{Observation, Testbed};
 use crate::SimError;
 use tesla_units::Celsius;
@@ -53,78 +52,33 @@ impl CoolingPlant for Testbed {
     }
 }
 
-/// A single-cell multi-zone pod is a cooling plant; the fleet layer
-/// exchanges heat between pods through the hot-aisle bleed accessors.
-/// Multi-cell rooms are not a single plant (one supervisor cannot own
-/// several independent ACUs), so every call requires exactly one cell.
-impl CoolingPlant for MultiZoneTestbed {
-    fn n_servers(&self) -> usize {
-        self.n_servers_total()
-    }
-
-    fn setpoint(&self) -> Celsius {
-        self.setpoint(0).expect("single-cell pod has a zone 0")
-    }
-
-    fn write_setpoint_clamped(&mut self, sp: Celsius) {
-        let _ = self.write_setpoint(0, sp);
-    }
-
-    fn try_write_setpoint(&mut self, sp: Celsius) -> Result<Celsius, SimError> {
-        if self.n_zones() != 1 {
-            return Err(SimError::InvalidConfig(
-                "a CoolingPlant pod must have exactly one cell".into(),
-            ));
-        }
-        MultiZoneTestbed::try_write_setpoint(self, 0, sp)
-    }
-
-    fn step_sample(&mut self, utils: &[f64]) -> Result<Observation, SimError> {
-        if self.n_zones() != 1 {
-            return Err(SimError::InvalidConfig(
-                "a CoolingPlant pod must have exactly one cell".into(),
-            ));
-        }
-        Ok(MultiZoneTestbed::step_sample(self, &[utils.to_vec()])?.remove(0))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SimConfig;
-    use crate::multizone::MultiZoneConfig;
-
-    fn drive(plant: &mut dyn CoolingPlant) -> Observation {
-        plant.write_setpoint_clamped(Celsius::new(23.0));
-        let u = vec![0.3; plant.n_servers()];
-        plant.step_sample(&u).unwrap()
-    }
 
     #[test]
-    fn both_plants_step_through_the_trait() {
+    fn testbed_steps_through_the_trait() {
         let cfg = SimConfig::default();
-        let mut tb = Testbed::new(cfg.clone(), 5).unwrap();
-        let mut pod = MultiZoneTestbed::with_zone_seeds(
-            MultiZoneConfig {
-                zones: vec![cfg],
-                coupling_kw_per_k: 0.0,
-            },
-            &[5],
-        )
-        .unwrap();
-        let oa = drive(&mut tb);
-        let ob = drive(&mut pod);
-        assert_eq!(oa.dc_temps, ob.dc_temps);
-        assert_eq!(tb.config().n_servers, CoolingPlant::n_servers(&pod));
-        assert_eq!(CoolingPlant::setpoint(&tb), CoolingPlant::setpoint(&pod));
-    }
+        let mut direct = Testbed::new(cfg.clone(), 5).unwrap();
+        let mut boxed: Box<dyn CoolingPlant> = Box::new(Testbed::new(cfg.clone(), 5).unwrap());
+        assert_eq!(boxed.n_servers(), cfg.n_servers);
 
-    #[test]
-    fn multi_cell_pod_is_rejected_as_a_plant() {
-        let mut room = MultiZoneTestbed::new(MultiZoneConfig::uniform(2, 0.1), 7).unwrap();
-        assert!(CoolingPlant::try_write_setpoint(&mut room, Celsius::new(23.0)).is_err());
-        let u = vec![0.3; CoolingPlant::n_servers(&room)];
-        assert!(CoolingPlant::step_sample(&mut room, &u).is_err());
+        direct.write_setpoint(Celsius::new(23.04));
+        boxed.write_setpoint_clamped(Celsius::new(23.04));
+        assert_eq!(boxed.setpoint(), direct.setpoint());
+        let latched = boxed.try_write_setpoint(Celsius::new(24.16)).unwrap();
+        assert_eq!(
+            latched,
+            direct.try_write_setpoint(Celsius::new(24.16)).unwrap()
+        );
+
+        let u = vec![0.3; cfg.n_servers];
+        let (a, b) = (
+            direct.step_sample(&u).unwrap(),
+            boxed.step_sample(&u).unwrap(),
+        );
+        assert_eq!(a.dc_temps, b.dc_temps);
+        assert_eq!(a.acu_energy_kwh, b.acu_energy_kwh);
     }
 }

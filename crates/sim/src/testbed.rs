@@ -192,6 +192,34 @@ impl Testbed {
         self.thermal.state()
     }
 
+    /// The hot-aisle bulk temperature — the boundary state that
+    /// inter-pod thermal bleed acts on.
+    pub fn hot_aisle_temp(&self) -> Celsius {
+        Celsius::new(self.thermal.state().hot_aisle)
+    }
+
+    /// The hot-aisle thermal capacity, kJ/K (the denominator that
+    /// converts a bleed energy transfer into a temperature change).
+    // lint:allow(no-raw-f64-in-public-api): thermal capacity kJ/K, no newtype
+    pub fn hot_aisle_capacity_kj_per_k(&self) -> f64 {
+        self.cfg.thermal.c_hot_kj_per_k
+    }
+
+    /// Deposits (positive) or extracts (negative) `energy_kj` into the
+    /// hot aisle. The fleet layer uses equal-and-opposite calls on
+    /// neighbouring pods to realize site-level thermal bleed, which makes
+    /// the exchange energy-conserving by construction.
+    // lint:allow(no-raw-f64-in-public-api): bulk energy transfer kJ, no newtype
+    pub fn add_hot_aisle_energy_kj(&mut self, energy_kj: f64) -> Result<(), SimError> {
+        if !energy_kj.is_finite() {
+            return Err(SimError::NonFiniteWrite(Celsius::new(energy_kj)));
+        }
+        let mut state = self.thermal.state();
+        state.hot_aisle += energy_kj / self.cfg.thermal.c_hot_kj_per_k;
+        self.thermal.set_state(state);
+        Ok(())
+    }
+
     /// Injects ACU refrigeration degradation mid-run (fouled coils,
     /// refrigerant loss): scales the COP curve by `factor` (< 1 degrades).
     /// Used to study plant drift and online recalibration.
@@ -707,6 +735,40 @@ mod tests {
             assert_eq!(oa.dc_temps, ob.dc_temps);
             assert_eq!(oa.acu_power_kw, ob.acu_power_kw);
         }
+    }
+
+    #[test]
+    fn hot_aisle_energy_injection_conserves_pairwise() {
+        // The fleet bleed operator: +E on one pod, −E on its neighbour.
+        // Temperatures move by E/C each way and total hot-aisle energy
+        // (Σ c_i·T_i) is unchanged to round-off.
+        let mut a = Testbed::new(SimConfig::default(), 7).unwrap();
+        let mut b = Testbed::new(SimConfig::default(), 8).unwrap();
+        a.step_sample(&uniform(0.6)).unwrap();
+        b.step_sample(&uniform(0.1)).unwrap();
+        let (t0, t1) = (a.hot_aisle_temp().value(), b.hot_aisle_temp().value());
+        let (c0, c1) = (
+            a.hot_aisle_capacity_kj_per_k(),
+            b.hot_aisle_capacity_kj_per_k(),
+        );
+        let e_kj = 50.0;
+        a.add_hot_aisle_energy_kj(e_kj).unwrap();
+        b.add_hot_aisle_energy_kj(-e_kj).unwrap();
+        let (t0b, t1b) = (a.hot_aisle_temp().value(), b.hot_aisle_temp().value());
+        assert!((t0b - (t0 + e_kj / c0)).abs() < 1e-12);
+        assert!((t1b - (t1 - e_kj / c1)).abs() < 1e-12);
+        let before = c0 * t0 + c1 * t1;
+        let after = c0 * t0b + c1 * t1b;
+        assert!((after - before).abs() < 1e-9, "{before} -> {after}");
+        assert!(matches!(
+            a.add_hot_aisle_energy_kj(f64::NAN),
+            Err(SimError::NonFiniteWrite(_))
+        ));
+        assert_eq!(
+            a.hot_aisle_temp().value(),
+            t0b,
+            "a rejected transfer moves nothing"
+        );
     }
 
     #[test]

@@ -1,115 +1,81 @@
-//! Multi-zone control: two coupled ACU/rack zones, one TESLA controller
-//! per zone.
+//! Multi-zone control: a two-pod fleet, one TESLA controller per pod,
+//! under a binding site power budget.
 //!
-//! The paper's testbed has a single ACU; its §2 figure shows rooms served
-//! by several. This example runs a busy zone next to an idle one with
-//! inter-zone air exchange, each zone closed-loop under its own TESLA
-//! instance, and shows that the idle zone's controller reacts to the heat
-//! leaking over from its neighbour.
+//! The paper's testbed has a single ACU (§4); its §2 figure shows rooms
+//! served by several. Here two pods — each one testbed cell with its own
+//! ACU, sensors and TESLA instance — sit side by side in a row, bleed
+//! hot-aisle heat into each other across a 0.25 kW/K edge, and share one
+//! electrical feed whose budget is below their combined draw. The site
+//! coordinator relaxes set-points while the site is over budget, but
+//! never past a pod's observed thermal headroom.
 //!
 //! ```bash
 //! cargo run --release --example multizone_control
 //! ```
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use tesla_core::dataset::{generate_sweep_trace, push_observation, DatasetConfig};
-use tesla_core::{Controller, TeslaConfig, TeslaController};
-use tesla_forecast::Trace;
-use tesla_sim::{MultiZoneConfig, MultiZoneTestbed, SimConfig};
-use tesla_units::Celsius;
-use tesla_workload::{DiurnalProfile, LoadSetting, Orchestrator};
+use tesla_core::dataset::{generate_sweep_trace, DatasetConfig};
+use tesla_core::{EpisodeConfig, TeslaConfig};
+use tesla_fleet::{shared_tesla_controllers, Fleet, FleetConfig, FleetTopology};
+use tesla_units::Kilowatts;
+
+/// Pods on the row.
+const PODS: usize = 2;
+
+/// Site budget per pod: below a medium-load pod's draw (IT plus
+/// cooling), so the coordinator has to arbitrate.
+const BUDGET_KW_PER_POD: f64 = 7.5;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    println!("training one TESLA instance per zone (shared sweep protocol) …");
+    println!("fitting one TESLA model for both pods (shared sweep protocol) …");
     let train = generate_sweep_trace(&DatasetConfig {
         days: 1.0,
         seed: 23,
         ..DatasetConfig::default()
     })?;
-    let mut controllers = [
-        TeslaController::new(
-            &train,
-            TeslaConfig {
-                seed: 1,
-                ..TeslaConfig::default()
-            },
-        )?,
-        TeslaController::new(
-            &train,
-            TeslaConfig {
-                seed: 2,
-                ..TeslaConfig::default()
-            },
-        )?,
-    ];
-
-    let n_servers = SimConfig::default().n_servers;
-    let mut room = MultiZoneTestbed::new(MultiZoneConfig::uniform(2, 0.25), 11)?;
-    let mut orchs = [Orchestrator::new(n_servers), Orchestrator::new(n_servers)];
+    let tesla = TeslaConfig {
+        seed: 1,
+        ..TeslaConfig::default()
+    };
     let minutes = 240;
-    let mut profiles = [
-        DiurnalProfile::new(LoadSetting::Idle, minutes as f64 * 60.0),
-        DiurnalProfile::new(LoadSetting::High, minutes as f64 * 60.0),
-    ];
-    let mut rng = StdRng::seed_from_u64(3);
-    let mut traces = [Trace::with_sensors(2, 35), Trace::with_sensors(2, 35)];
+    let config = FleetConfig {
+        topology: FleetTopology::row(PODS, Kilowatts::new(125.0), 0.25)?,
+        zone: EpisodeConfig {
+            minutes,
+            warmup_minutes: 60,
+            seed: 11,
+            ..EpisodeConfig::default()
+        },
+        site_budget_kw: Kilowatts::new(BUDGET_KW_PER_POD * PODS as f64),
+        workers: PODS,
+        ..FleetConfig::default()
+    };
+    let budget = config.site_budget_kw;
+    let controllers = shared_tesla_controllers(&train, &tesla, PODS)?;
+    let report = Fleet::new(config, controllers, None)?.run(minutes, None)?;
 
-    // Warm-up at 23 °C.
-    for _ in 0..60 {
-        let utils: Vec<Vec<f64>> = (0..2)
-            .map(|z| orchs[z].tick(60.0, profiles[z].sample(0.0, &mut rng), &mut rng))
-            .collect();
-        for (z, obs) in room.step_sample(&utils)?.into_iter().enumerate() {
-            push_observation(&mut traces[z], &obs);
-        }
-    }
-
-    let mut energy = [0.0f64; 2];
-    let mut violations = [0usize; 2];
-    let mut sp_sum = [0.0f64; 2];
-    for m in 0..minutes {
-        for z in 0..2 {
-            let sp = controllers[z].decide(&traces[z]);
-            room.write_setpoint(z, Celsius::new(sp))?;
-            sp_sum[z] += room.setpoint(z).unwrap().value();
-        }
-        let utils: Vec<Vec<f64>> = (0..2)
-            .map(|z| {
-                orchs[z].tick(
-                    60.0,
-                    profiles[z].sample(m as f64 * 60.0, &mut rng),
-                    &mut rng,
-                )
-            })
-            .collect();
-        for (z, obs) in room.step_sample(&utils)?.into_iter().enumerate() {
-            energy[z] += obs.acu_energy_kwh;
-            if obs.cold_aisle_max > 22.0 {
-                violations[z] += 1;
-            }
-            push_observation(&mut traces[z], &obs);
-        }
-    }
-
-    println!("\nper-zone results over {minutes} minutes (coupling 0.25 kW/K):");
+    println!("\nper-pod results over {minutes} minutes (bleed 0.25 kW/K, site budget {budget}):");
     println!(
-        "{:<18} {:>10} {:>12} {:>10}",
-        "zone", "CE (kWh)", "mean sp (C)", "TSV (%)"
+        "{:<6} {:>10} {:>12} {:>10}",
+        "pod", "CE (kWh)", "mean sp (C)", "TSV (%)"
     );
-    for (z, label) in ["zone 0 (idle)", "zone 1 (high)"].iter().enumerate() {
+    for (z, pod) in report.zones.iter().enumerate() {
+        let mean_sp = pod.setpoints.iter().sum::<f64>() / pod.setpoints.len().max(1) as f64;
         println!(
-            "{:<18} {:>10.2} {:>12.2} {:>10.1}",
-            label,
-            energy[z],
-            sp_sum[z] / minutes as f64,
-            100.0 * violations[z] as f64 / minutes as f64
+            "{:<6} {:>10.2} {:>12.2} {:>10.1}",
+            format!("z{z}"),
+            pod.cooling_energy_kwh,
+            mean_sp,
+            pod.tsv_percent
         );
     }
     println!(
-        "\nthe idle zone's ACU still works (its neighbour leaks heat through the shared\n\
-         plenum) and its TESLA instance holds a lower set-point than the busy zone's,\n\
-         keeping both cold aisles under the 22 C limit independently."
+        "\nsite peak {:.1} kW against the {budget} budget; over budget in {} of {} minutes;\n\
+         {} zone-minutes of set-point relaxation, {} violation minutes.",
+        report.site_peak_kw.value(),
+        report.budget_exceeded_minutes,
+        report.minutes,
+        report.relaxations,
+        report.violation_minutes()
     );
     Ok(())
 }

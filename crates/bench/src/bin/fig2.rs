@@ -25,14 +25,14 @@ fn main() {
     let mid = minutes as f64 * 30.0;
     let warm_target = profile.sample(mid, &mut rng);
     let utils = orch.tick(60.0, warm_target, &mut rng);
-    tb.warm_up(&utils, 180).expect("warm-up");
+    tb.warm_up(utils, 180).expect("warm-up");
 
     let mut t_min = Vec::with_capacity(minutes);
     let mut power = Vec::with_capacity(minutes);
     for m in 0..minutes {
         let target = profile.sample(mid + m as f64 * 60.0, &mut rng);
         let utils = orch.tick(60.0, target, &mut rng);
-        let obs = tb.step_sample(&utils).expect("step");
+        let obs = tb.step_sample(utils).expect("step");
         t_min.push(m as f64);
         power.push(obs.acu_power_kw);
     }

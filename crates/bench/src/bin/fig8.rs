@@ -45,7 +45,7 @@ fn main() {
     for _ in 0..cfg.warmup_minutes {
         let t = profile.sample(0.0, &mut rng);
         let utils = orch.tick(60.0, t, &mut rng);
-        let obs = tb.step_sample(&utils).expect("step");
+        let obs = tb.step_sample(utils).expect("step");
         push_observation(&mut trace, &obs);
     }
 
@@ -70,7 +70,7 @@ fn main() {
         }
         let t = profile.sample(m as f64 * 60.0, &mut rng);
         let utils = orch.tick(60.0, t, &mut rng);
-        let obs = tb.step_sample(&utils).expect("step");
+        let obs = tb.step_sample(utils).expect("step");
         t_hours.push(m as f64 / 60.0);
         avg_power.push(obs.avg_server_power_kw);
         push_observation(&mut trace, &obs);

@@ -82,6 +82,7 @@ pub fn generate_sweep_trace(cfg: &DatasetConfig) -> Result<Trace, CoreError> {
 
     let mut setpoint = smin;
     let mut direction = 1.0;
+    let mut obs = Observation::for_config(&cfg.sim);
     for m in 0..minutes {
         let seg_pos = m % segment_min;
         if m > 0 && seg_pos == 0 {
@@ -101,7 +102,7 @@ pub fn generate_sweep_trace(cfg: &DatasetConfig) -> Result<Trace, CoreError> {
         testbed.write_setpoint(Celsius::new(setpoint));
         let target = profile.sample(seg_pos as f64 * 60.0, &mut rng);
         let utils = orch.tick(cfg.sim.sample_period_s, target, &mut rng);
-        let obs = testbed.step_sample(&utils)?;
+        testbed.step_sample_into(utils, &mut obs)?;
         push_observation(&mut trace, &obs);
     }
     Ok(trace)

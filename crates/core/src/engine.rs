@@ -43,8 +43,16 @@ pub struct MinuteOutcome {
     pub acu_power_kw: Kilowatts,
     /// Average per-server electrical power.
     pub avg_server_power_kw: Kilowatts,
-    /// The full sanitized observation (historian collection).
-    pub observation: Observation,
+}
+
+/// The number of distinct indices in `a` and `b` together. The lists
+/// are a dozen entries at most, so a scan beats building a set.
+fn distinct_count(a: &[usize], b: &[usize]) -> usize {
+    let all = || a.iter().chain(b);
+    all()
+        .enumerate()
+        .filter(|&(i, k)| !all().take(i).any(|x| x == k))
+        .count()
 }
 
 /// One zone's supervised episode state: plant + workload + sanitized
@@ -60,6 +68,8 @@ pub struct ZoneEpisode<P: CoolingPlant> {
     profile: DiurnalProfile,
     rng: StdRng,
     trace: Trace,
+    /// The minute's telemetry, sampled in place every minute.
+    obs: Observation,
     n_cold: usize,
     cold_health: HealthMonitor,
     rest_health: HealthMonitor,
@@ -128,6 +138,7 @@ impl<P: CoolingPlant> ZoneEpisode<P> {
             profile: DiurnalProfile::new(config.setting, config.minutes as f64 * 60.0),
             rng: StdRng::seed_from_u64(config.seed ^ 0xEE),
             trace: Trace::with_sensors(config.sim.n_acu_sensors, config.sim.n_dc_sensors),
+            obs: Observation::for_config(&config.sim),
             n_cold,
             cold_health,
             rest_health,
@@ -189,12 +200,13 @@ impl<P: CoolingPlant> ZoneEpisode<P> {
             let utils = self
                 .orch
                 .tick(self.config.sim.sample_period_s, target, &mut self.rng);
-            let mut obs = self.plant.step_sample(&utils)?;
+            self.plant.step_sample_into(utils, &mut self.obs)?;
+            let obs = &mut self.obs;
             let (cold, rest) = obs.dc_temps.split_at_mut(self.n_cold);
             self.cold_health.sanitize(cold);
             self.rest_health.sanitize(rest);
             self.inlet_health.sanitize(&mut obs.acu_inlet_temps);
-            push_observation(&mut self.trace, &obs);
+            push_observation(&mut self.trace, obs);
             self.prune();
         }
         self.metered_from = self.trace.len();
@@ -246,7 +258,8 @@ impl<P: CoolingPlant> ZoneEpisode<P> {
         let utils = self
             .orch
             .tick(self.config.sim.sample_period_s, target, &mut self.rng);
-        let mut obs = self.plant.step_sample(&utils)?;
+        self.plant.step_sample_into(utils, &mut self.obs)?;
+        let obs = &mut self.obs;
 
         // Sanitize what the controller (and the trace) will see, then
         // recompute the sensor-reported cold-aisle max from the sanitized
@@ -278,33 +291,28 @@ impl<P: CoolingPlant> ZoneEpisode<P> {
         self.avg_server_power.push(obs.avg_server_power_kw);
         self.server_energy_kwh +=
             obs.server_powers_kw.iter().sum::<f64>() * self.config.sim.sample_period_s / 3600.0;
-        push_observation(&mut self.trace, &obs);
-        self.prune();
-
-        // The cold monitor only sees indices 0..n_cold, so its report
-        // needs no index filtering.
-        let quarantined_cold = cold_report
-            .imputed
-            .iter()
-            .chain(cold_report.newly_quarantined.iter())
-            .collect::<std::collections::BTreeSet<_>>()
-            .len();
-        if !replaying {
-            supervisor.end_of_minute(
-                minute,
-                quarantined_cold as f64 / self.n_cold.max(1) as f64,
-                Celsius::new(obs.cold_aisle_max),
-                executed,
-            );
-        }
-        Ok(MinuteOutcome {
+        push_observation(&mut self.trace, obs);
+        let outcome = MinuteOutcome {
             executed,
             observed_cold_aisle_max: Celsius::new(obs.cold_aisle_max),
             true_cold_aisle_max: Celsius::new(obs.cold_aisle_max_true),
             acu_power_kw: Kilowatts::new(obs.acu_power_kw),
             avg_server_power_kw: Kilowatts::new(obs.avg_server_power_kw),
-            observation: obs,
-        })
+        };
+        self.prune();
+
+        // The cold monitor only sees indices 0..n_cold, so its report
+        // needs no index filtering.
+        let quarantined_cold = distinct_count(&cold_report.imputed, &cold_report.newly_quarantined);
+        if !replaying {
+            supervisor.end_of_minute(
+                minute,
+                quarantined_cold as f64 / self.n_cold.max(1) as f64,
+                outcome.observed_cold_aisle_max,
+                executed,
+            );
+        }
+        Ok(outcome)
     }
 
     /// Seals the episode into its [`EvalResult`].

@@ -146,7 +146,7 @@ pub fn run_episode(
     for m in 0..config.warmup_minutes {
         let target = profile.sample(0.0, &mut rng);
         let utils = orch.tick(config.sim.sample_period_s, target, &mut rng);
-        let obs = testbed.step_sample(&utils)?;
+        let obs = testbed.step_sample(utils)?;
         push_observation(&mut trace, &obs);
         let _ = m;
     }
@@ -169,7 +169,7 @@ pub fn run_episode(
 
         let target = profile.sample(m as f64 * 60.0, &mut rng);
         let utils = orch.tick(config.sim.sample_period_s, target, &mut rng);
-        let obs = testbed.step_sample(&utils)?;
+        let obs = testbed.step_sample(utils)?;
 
         cooling_energy_kwh += obs.acu_energy_kwh;
         if obs.cold_aisle_max > config.d_allowed.value() {

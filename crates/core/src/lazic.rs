@@ -254,39 +254,72 @@ mod tests {
         }
     }
 
+    /// `trace` with only its first `n_dc` rack sensors.
+    fn first_rack_sensors(trace: &Trace, n_dc: usize) -> Trace {
+        Trace {
+            dc_temps: trace.dc_temps[..n_dc].to_vec(),
+            ..trace.clone()
+        }
+    }
+
     #[test]
     fn prepared_scan_matches_the_rollout_reference_bit_for_bit() {
         let (_, trace) = controller();
+        // The sweep's 35 rack sensors make 38 models: four full panel
+        // blocks of eight and a last block of six. Thirteen make 16
+        // models, two full blocks.
+        let thirteen = first_rack_sensors(&trace, 13);
         // The default watches a prefix of the rack sensors; the others
-        // take the gathered last step, a longer lag, one step, and no
-        // step at all.
-        let configs = [
-            LazicConfig::default(),
-            LazicConfig {
-                order: 3,
-                horizon: 4,
-                cold_sensors: vec![3, 7, 40, 7],
-                ..LazicConfig::default()
-            },
-            LazicConfig {
-                order: 1,
-                horizon: 1,
-                cold_sensors: vec![10, 2],
-                ..LazicConfig::default()
-            },
-            LazicConfig {
-                horizon: 0,
-                ..LazicConfig::default()
-            },
+        // take the gathered last step, a longer lag, one step, no step
+        // at all, a watched sensor in the partly filled last block, and
+        // blocks filled exactly.
+        let cases = [
+            (&trace, LazicConfig::default()),
+            (
+                &trace,
+                LazicConfig {
+                    order: 3,
+                    horizon: 4,
+                    cold_sensors: vec![3, 7, 40, 7],
+                    ..LazicConfig::default()
+                },
+            ),
+            (
+                &trace,
+                LazicConfig {
+                    order: 1,
+                    horizon: 1,
+                    cold_sensors: vec![10, 2],
+                    ..LazicConfig::default()
+                },
+            ),
+            (
+                &trace,
+                LazicConfig {
+                    horizon: 0,
+                    ..LazicConfig::default()
+                },
+            ),
+            (
+                &trace,
+                LazicConfig {
+                    cold_sensors: vec![34, 0],
+                    ..LazicConfig::default()
+                },
+            ),
+            (&thirteen, LazicConfig::default()),
         ];
-        for config in configs {
+        for (trace, config) in cases {
             let label = format!(
-                "order {}, horizon {}, sensors {:?}",
-                config.order, config.horizon, config.cold_sensors
+                "{} rack sensors, order {}, horizon {}, sensors {:?}",
+                trace.n_dc_sensors(),
+                config.order,
+                config.horizon,
+                config.cold_sensors
             );
-            let mut ctrl = LazicController::new(&trace, config).unwrap();
+            let mut ctrl = LazicController::new(trace, config).unwrap();
             for len in trace.len() - 60..trace.len() {
-                let history = prefix(&trace, len);
+                let history = prefix(trace, len);
                 ctrl.model.prepare_scan(&history, &mut ctrl.scan).unwrap();
                 for i in 0..=60 {
                     let s = 20.0 + 0.25 * f64::from(i);

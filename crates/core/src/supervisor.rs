@@ -43,6 +43,7 @@ use crate::controller::Controller;
 use crate::engine::ZoneEpisode;
 use crate::experiment::{EpisodeConfig, EvalResult};
 use crate::CoreError;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 use tesla_forecast::Trace;
 use tesla_sim::{CoolingPlant, SimError};
@@ -159,6 +160,23 @@ impl StressReason {
             _ => None,
         }
     }
+}
+
+/// `supervisor_rung_minutes_total{rung}`, resolved on the global
+/// registry once per rung, so the per-minute count builds no key and
+/// takes no registry lock.
+fn rung_minutes_counter(rung: Rung) -> &'static tesla_obs::Counter {
+    static NORMAL: OnceLock<tesla_obs::Counter> = OnceLock::new();
+    static HOLD_LAST_SAFE: OnceLock<tesla_obs::Counter> = OnceLock::new();
+    static SAFE_MODE: OnceLock<tesla_obs::Counter> = OnceLock::new();
+    let handle = match rung {
+        Rung::Normal => &NORMAL,
+        Rung::HoldLastSafe => &HOLD_LAST_SAFE,
+        Rung::SafeMode => &SAFE_MODE,
+    };
+    handle.get_or_init(|| {
+        tesla_obs::global().counter("supervisor_rung_minutes_total", &[("rung", rung.label())])
+    })
 }
 
 /// Records one ladder transition into the global registry and trace.
@@ -666,12 +684,7 @@ impl Supervisor {
             Rung::HoldLastSafe => self.hold_minutes += 1,
             Rung::Normal => {}
         }
-        tesla_obs::global()
-            .counter(
-                "supervisor_rung_minutes_total",
-                &[("rung", self.rung.label())],
-            )
-            .inc();
+        rung_minutes_counter(self.rung).inc();
         tesla_obs::gauge!("supervisor_rung_index").set(self.rung.index() as f64);
 
         let stressed = self.pending_reason.is_some();

@@ -136,11 +136,12 @@ impl ZoneActor {
     /// zone's own trace, packaged with the rung and thermal head-room
     /// the coordinator needs for arbitration.
     pub fn decide(&mut self) -> ZoneDecision {
-        let timer = std::time::Instant::now();
+        let timer =
+            tesla_obs::Timer::start(tesla_obs::histogram!("tesla_fleet_zone_decide_seconds"));
         let proposed = self
             .episode
             .decide(&mut self.supervisor, self.controller.as_mut());
-        tesla_obs::histogram!("tesla_fleet_zone_decide_seconds").observe_duration(timer.elapsed());
+        drop(timer);
         ZoneDecision {
             zone: self.zone,
             proposed,
@@ -158,11 +159,12 @@ impl ZoneActor {
         setpoint: Celsius,
         replaying: bool,
     ) -> Result<MinuteOutcome, FleetError> {
-        let timer = std::time::Instant::now();
+        let timer =
+            tesla_obs::Timer::start(tesla_obs::histogram!("tesla_fleet_zone_advance_seconds"));
         let outcome = self
             .episode
             .advance(minute, setpoint, &mut self.supervisor, replaying)?;
-        tesla_obs::histogram!("tesla_fleet_zone_advance_seconds").observe_duration(timer.elapsed());
+        drop(timer);
         self.last_observed_cold_max = outcome.observed_cold_aisle_max;
         if let Some(store) = &self.historian {
             let t = (minute as f64) * 60.0;

@@ -19,8 +19,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Runs `task` once per item index in `0..n` across `workers` threads,
-/// returning the results in index order. `workers <= 1` runs serially on
-/// the caller's thread (the determinism baseline).
+/// returning the results in index order. The caller's thread is one of
+/// the workers, so a phase spawns `workers - 1` threads. `workers <= 1`
+/// runs serially on the caller's thread (the determinism baseline).
 ///
 /// Panics in `task` propagate: the scoped-thread join unwinds the caller.
 pub fn run_sharded<R, F>(workers: usize, n: usize, task: F) -> Vec<R>
@@ -33,20 +34,22 @@ where
     }
     let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let work = || loop {
+        // Relaxed suffices: the cursor hands out indices and publishes
+        // nothing else; results reach the caller through the slot
+        // mutexes and the scope's join.
+        let idx = cursor.fetch_add(1, Ordering::Relaxed);
+        if idx >= n {
+            break;
+        }
+        *slots[idx].lock().expect("slot lock") = Some(task(idx));
+    };
 
     std::thread::scope(|scope| {
-        for _ in 0..workers.min(n) {
-            scope.spawn(|| loop {
-                // Relaxed suffices: the cursor hands out indices and
-                // publishes nothing else; results reach the caller through
-                // the slot mutexes and the scope's join.
-                let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                if idx >= n {
-                    break;
-                }
-                *slots[idx].lock().expect("slot lock") = Some(task(idx));
-            });
+        for _ in 1..workers.min(n) {
+            scope.spawn(work);
         }
+        work();
     });
 
     slots

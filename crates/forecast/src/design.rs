@@ -45,8 +45,7 @@ pub fn xt_y(x: &Matrix, y: &Matrix) -> Matrix {
 /// the bias, then each lag term in turn. The models' sums are
 /// independent, so four run side by side; each keeps its own order, so
 /// the results are bit-identical to computing the models one at a time.
-/// This is the window-dependent part of the ACU and DCS prepares, and
-/// each step of the Lazic rollout scan.
+/// This is the window-dependent part of the ACU and DCS prepares.
 pub(crate) fn lag_bases(models: &[Ridge], lag: &[f64], out: &mut [f64]) {
     debug_assert_eq!(models.len(), out.len());
     let mut quads = models.chunks_exact(4);
@@ -56,21 +55,6 @@ pub(crate) fn lag_bases(models: &[Ridge], lag: &[f64], out: &mut [f64]) {
     }
     for (m, o) in quads.remainder().iter().zip(outs.into_remainder()) {
         *o = lag_base(m, lag);
-    }
-}
-
-/// [`lag_bases`] over the models at the indices `at`: `out[i]` is model
-/// `at[i]`'s sum, with the same bits.
-pub(crate) fn lag_bases_at(models: &[Ridge], at: &[usize], lag: &[f64], out: &mut [f64]) {
-    debug_assert_eq!(at.len(), out.len());
-    let mut quads = at.chunks_exact(4);
-    let mut outs = out.chunks_exact_mut(4);
-    for (q, o) in (&mut quads).zip(&mut outs) {
-        let quad = [&models[q[0]], &models[q[1]], &models[q[2]], &models[q[3]]];
-        o.copy_from_slice(&lag_base4(quad, lag));
-    }
-    for (&k, o) in quads.remainder().iter().zip(outs.into_remainder()) {
-        *o = lag_base(&models[k], lag);
     }
 }
 
@@ -399,14 +383,6 @@ mod tests {
             lag_bases(&models, &lag, &mut out);
             for (m, o) in models.iter().zip(&out) {
                 assert_eq!(m.predict(&lag).to_bits(), o.to_bits(), "{count} models");
-            }
-            // Gathered: every other model, last first, so the indices are
-            // neither contiguous nor ascending.
-            let at: Vec<usize> = (0..count).rev().step_by(2).collect();
-            let mut gathered = vec![0.0; at.len()];
-            lag_bases_at(&models, &at, &lag, &mut gathered);
-            for (&k, g) in at.iter().zip(&gathered) {
-                assert_eq!(out[k].to_bits(), g.to_bits(), "{count} models, index {k}");
             }
         }
     }

@@ -11,7 +11,7 @@
 // analysis:allow-file(panic-free-control-path): dense numeric kernel;
 // every index is loop-bounded by lengths validated at the call
 // boundary, and debug_asserts guard the shape contracts.
-use crate::design::{lag_bases, lag_bases_at, SharedDesign};
+use crate::design::SharedDesign;
 use crate::trace::{ModelWindow, Trace};
 use crate::ForecastError;
 use tesla_linalg::{Matrix, Ridge};
@@ -161,7 +161,9 @@ impl RecursiveAr {
     /// Buffers for a scan over constant set-points held for `horizon`
     /// steps, reading the rack sensors `watched`. Entries at or past the
     /// rack-sensor count are ignored, as [`RecursiveAr::predict_rollout`]
-    /// returns no series for them.
+    /// returns no series for them. Every model's lag weights are copied
+    /// here into one contiguous weight panel, so a scan reads them front
+    /// to back from one buffer.
     pub fn rollout_scan(&self, horizon: usize, watched: &[usize]) -> RolloutScan {
         let m = Self::state_dim(self.n_dc, self.n_acu);
         let span = m * self.order;
@@ -171,10 +173,15 @@ impl RecursiveAr {
                 rack.push(k);
             }
         }
+        let mut watched_blocks: Vec<usize> = rack.iter().map(|&k| k / LANES).collect();
+        watched_blocks.sort_unstable();
+        watched_blocks.dedup();
+        let panel = WeightPanel::new(&self.models, span);
         RolloutScan {
             horizon,
-            last: vec![0.0; rack.len()],
+            last: vec![[0.0; LANES]; panel.blocks()],
             watched: rack,
+            watched_blocks,
             frames: vec![0.0; horizon.saturating_sub(1) * m + span],
             base: vec![0.0; m],
             setpoint_weights: self
@@ -182,6 +189,7 @@ impl RecursiveAr {
                 .iter()
                 .map(|mo| mo.folded_weights()[span])
                 .collect(),
+            panel,
         }
     }
 
@@ -207,7 +215,7 @@ impl RecursiveAr {
         for (back, frame) in scan.frames[newest..].chunks_exact_mut(m).enumerate() {
             Self::write_frame(frame, trace, len - 1 - back);
         }
-        lag_bases(&self.models, &scan.frames[newest..], &mut scan.base);
+        scan.panel.sums(&scan.frames[newest..], &mut scan.base);
         Ok(())
     }
 
@@ -216,10 +224,11 @@ impl RecursiveAr {
     /// bits of the max over the same series of
     /// [`RecursiveAr::predict_rollout`], NaN outputs skipped. Each
     /// output is that call's sum in its order of operations; the models'
-    /// sums run four at a time, and the last step computes only the
-    /// watched outputs. The running max only grows, so the rollout stops
-    /// once it reaches `limit`: a result at or above `limit` is then a
-    /// lower bound, not the max.
+    /// sums run eight at a time from the scan's weight panel, and the
+    /// last step computes only the blocks that hold watched outputs. The
+    /// running max only grows, so the rollout stops once it reaches
+    /// `limit`: a result at or above `limit` is then a lower bound, not
+    /// the max.
     pub fn scan_max(&self, scan: &mut RolloutScan, setpoint: Celsius, limit: Celsius) -> Celsius {
         let (setpoint, limit) = (setpoint.value(), limit.value());
         let m = Self::state_dim(self.n_dc, self.n_acu);
@@ -236,7 +245,7 @@ impl RecursiveAr {
             if step == 0 {
                 next.copy_from_slice(&scan.base);
             } else {
-                lag_bases(&self.models, &window[..span], next);
+                scan.panel.sums(&window[..span], next);
             }
             for (y, &w) in next.iter_mut().zip(&scan.setpoint_weights) {
                 *y += w * setpoint;
@@ -251,32 +260,106 @@ impl RecursiveAr {
         if h == 0 {
             return Celsius::new(max);
         }
-        if h == 1 {
-            for (o, &k) in scan.last.iter_mut().zip(&scan.watched) {
-                *o = scan.base[k];
-            }
+        let base = if h == 1 {
+            &scan.base[..]
         } else {
             let window = &scan.frames[..span];
-            lag_bases_at(&self.models, &scan.watched, window, &mut scan.last);
-        }
-        for (o, &k) in scan.last.iter_mut().zip(&scan.watched) {
-            *o += scan.setpoint_weights[k] * setpoint;
-            max = max.max(*o);
+            for &b in &scan.watched_blocks {
+                scan.last[b] = scan.panel.block(b, window);
+            }
+            scan.last.as_flattened()
+        };
+        for &k in &scan.watched {
+            max = max.max(base[k] + scan.setpoint_weights[k] * setpoint);
         }
         Celsius::new(max)
     }
 }
 
-/// The buffers of [`RecursiveAr::scan_max`]: one decision's newest
-/// frames, each model's first-step sum over them, and room for a
-/// candidate's rollout. [`RecursiveAr::rollout_scan`] sizes them once;
-/// [`RecursiveAr::prepare_scan`] refills them per decision, so a scan
-/// allocates nothing.
+/// Models per block of a [`WeightPanel`]: the sums of one block run side
+/// by side. Sixteen measured no faster than eight.
+const LANES: usize = 8;
+
+/// Every model's lag weights in one contiguous buffer, in blocks of
+/// [`LANES`] models. Inside a block the weights are feature-major: entry
+/// `f` holds the block's eight weights of lag feature `f`, so one pass
+/// over the lag features reads the block front to back. The last block
+/// is padded with zero-weight lanes, whose sums nothing reads.
+#[derive(Debug, Clone)]
+struct WeightPanel {
+    /// Lag features per model.
+    span: usize,
+    /// Block `b`'s weights are `weights[b · span..(b + 1) · span]`.
+    weights: Vec<[f64; LANES]>,
+    /// Each block's eight biases.
+    biases: Vec<[f64; LANES]>,
+}
+
+impl WeightPanel {
+    /// Copies the first `span` weights and the bias of every model.
+    fn new(models: &[Ridge], span: usize) -> Self {
+        let blocks = models.len().div_ceil(LANES);
+        let mut weights = vec![[0.0; LANES]; blocks * span];
+        let mut biases = vec![[0.0; LANES]; blocks];
+        for (i, model) in models.iter().enumerate() {
+            let (b, lane) = (i / LANES, i % LANES);
+            biases[b][lane] = model.bias();
+            let block = &mut weights[b * span..(b + 1) * span];
+            for (row, &w) in block.iter_mut().zip(&model.folded_weights()[..span]) {
+                row[lane] = w;
+            }
+        }
+        WeightPanel {
+            span,
+            weights,
+            biases,
+        }
+    }
+
+    /// Number of blocks.
+    fn blocks(&self) -> usize {
+        self.biases.len()
+    }
+
+    /// Block `b`'s eight sums over `lag`, each in [`Ridge::predict`]'s
+    /// order: the bias, then each lag term in turn. The lanes are
+    /// independent, so they run side by side with the bits of computing
+    /// the models one at a time.
+    #[inline]
+    fn block(&self, b: usize, lag: &[f64]) -> [f64; LANES] {
+        let mut acc = self.biases[b];
+        let weights = &self.weights[b * self.span..(b + 1) * self.span];
+        for (row, &x) in weights.iter().zip(lag) {
+            for (a, &w) in acc.iter_mut().zip(row) {
+                *a += w * x;
+            }
+        }
+        acc
+    }
+
+    /// Every model's sum over `lag`, into `out` (one entry per model).
+    fn sums(&self, lag: &[f64], out: &mut [f64]) {
+        for (b, o) in out.chunks_mut(LANES).enumerate() {
+            let acc = self.block(b, lag);
+            o.copy_from_slice(&acc[..o.len()]);
+        }
+    }
+}
+
+/// The buffers of [`RecursiveAr::scan_max`]: the models' weight panel,
+/// one decision's newest frames, each model's first-step sum over them,
+/// and room for a candidate's rollout. [`RecursiveAr::rollout_scan`]
+/// builds them once; [`RecursiveAr::prepare_scan`] refills them per
+/// decision, so a scan allocates nothing.
 #[derive(Debug, Clone)]
 pub struct RolloutScan {
     horizon: usize,
     /// The watched rack sensors, each once.
     watched: Vec<usize>,
+    /// The panel blocks that hold a watched sensor, ascending.
+    watched_blocks: Vec<usize>,
+    /// The models' lag weights and biases.
+    panel: WeightPanel,
     /// Frames newest first: the decision's `order` frames at the end,
     /// and below them one frame per rollout step but the last.
     frames: Vec<f64>,
@@ -284,8 +367,9 @@ pub struct RolloutScan {
     base: Vec<f64>,
     /// Each model's set-point weight, its last feature.
     setpoint_weights: Vec<f64>,
-    /// The last step's watched outputs.
-    last: Vec<f64>,
+    /// The last step's sums, by block; only the watched blocks are
+    /// written.
+    last: Vec<[f64; LANES]>,
 }
 
 #[cfg(test)]

@@ -371,12 +371,19 @@ impl Historian {
     }
 
     /// Applies a batch to in-memory state (shared by ingest and WAL
-    /// replay; the caller holds the shard lock).
+    /// replay; the caller holds the shard lock). A known series is
+    /// looked up once; a new one is inserted first.
     fn apply_batch(shard: &mut Shard, cfg: &HistorianConfig, metric: &str, samples: &[(f64, f64)]) {
-        if !shard.series.contains_key(metric) {
-            shard.series.insert(metric.to_string(), Series::default());
+        if let Some(series) = shard.series.get_mut(metric) {
+            Self::apply_to_series(series, cfg, samples);
+            return;
         }
-        let series = shard.series.get_mut(metric).expect("inserted above");
+        let series = shard.series.entry(metric.to_string()).or_default();
+        Self::apply_to_series(series, cfg, samples);
+    }
+
+    /// [`Historian::apply_batch`] once the series is found.
+    fn apply_to_series(series: &mut Series, cfg: &HistorianConfig, samples: &[(f64, f64)]) {
         let mut accepted = 0u64;
         for &(t, v) in samples {
             if !t.is_finite() || !v.is_finite() {

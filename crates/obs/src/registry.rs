@@ -3,18 +3,22 @@
 //! Layout: a fixed array of shards, each holding a `RwLock<HashMap>`
 //! from `(name, labels)` to a registered instrument. A metric *handle*
 //! (`Counter`, `Gauge`, `Histogram`) is an `Arc` around the instrument's
-//! atomic state, so registration — the only path that touches a lock —
-//! happens once per call site, and every subsequent update is a handful
-//! of relaxed atomic operations with no shared-lock traffic. The shard
-//! count bounds contention for call sites that *do* re-look-up by name
-//! every time (dynamic label values like a degradation-ladder rung).
+//! atomic state. Every lookup builds its key — a `Vec` of label pairs
+//! and a `String` per label value — hashes it and takes a shard lock, so
+//! a call site on a hot path looks its handle up once (the `counter!`
+//! family caches it in a `static OnceLock`, and labelled series with a
+//! few known label values keep one `OnceLock` per value). Updates
+//! through a handle are a handful of relaxed atomic operations with no
+//! lock. The shard count bounds contention for the call sites that do
+//! look up by name each time (rare events such as ladder transitions).
 
 // analysis:allow-file(panic-free-control-path): registry falls back
 // to detached instruments instead of panicking; the remaining sites
 // are shard-index arithmetic masked to the shard count.
-// analysis:allow-file(no-alloc-in-decide-steady-state): metric-key
-// interning allocates on first registration only; steady-state
-// lookups hit the existing shard map entry.
+// analysis:allow-file(no-alloc-in-decide-steady-state): a lookup
+// builds its key and a first registration interns it; steady-state
+// call sites resolve their handle once, so on those paths this
+// allocates at first registration only.
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -2,7 +2,9 @@
 //! so the process-wide enabled flag (off by default) never races the
 //! enabled-path tests.
 
-use tesla_obs::{global, global_trace, span, Timer};
+use tesla_obs::{
+    counter, gauge, global, global_trace, histogram, span, Counter, Gauge, Histogram, Timer,
+};
 
 #[test]
 fn everything_is_noop_while_disabled() {
@@ -21,9 +23,22 @@ fn everything_is_noop_while_disabled() {
     h.observe(0.5);
     assert_eq!(h.count(), 0);
     {
-        let _t = Timer::start(h.clone());
+        let t = Timer::start(&h);
+        assert_eq!(t.elapsed_seconds(), 0.0, "a disabled timer reads no clock");
     }
     assert_eq!(h.count(), 0);
+
+    // The macros hand out the call site's cached handle itself.
+    let mc: &'static Counter = counter!("disabled_probe_macro_total");
+    let mg: &'static Gauge = gauge!("disabled_probe_macro_ratio");
+    let mh: &'static Histogram = histogram!("disabled_probe_macro_seconds");
+    mc.inc();
+    mg.set(2.0);
+    mh.observe(0.25);
+    {
+        let _t = Timer::start(mh);
+    }
+    assert_eq!((mc.get(), mg.get(), mh.count()), (0, 0.0, 0));
 
     {
         let _s = span!("disabled_probe_span", step = 1);
@@ -35,4 +50,10 @@ fn everything_is_noop_while_disabled() {
     tesla_obs::set_enabled(true);
     c.inc();
     assert_eq!(c.get(), 1);
+    mc.inc();
+    assert_eq!(global().counter("disabled_probe_macro_total", &[]).get(), 1);
+    {
+        let _t = Timer::start(mh);
+    }
+    assert_eq!(mh.count(), 1);
 }

@@ -92,13 +92,38 @@ impl Acu {
         self.params.inlet_sensor_bias.len()
     }
 
-    /// Samples the inlet sensors given the true return-air temperature.
-    pub fn sample_inlet_sensors<R: Rng>(&self, return_temp: Celsius, rng: &mut R) -> Vec<Celsius> {
+    /// One reading of each inlet sensor given the true return-air
+    /// temperature, in sensor order, each with one noise draw.
+    fn inlet_readings<'a, R: Rng>(
+        &'a self,
+        return_temp: Celsius,
+        rng: &'a mut R,
+    ) -> impl Iterator<Item = Celsius> + 'a {
         self.params
             .inlet_sensor_bias
             .iter()
-            .map(|b| return_temp + DegC::new(b + self.noise.sample(rng)))
-            .collect()
+            .map(move |b| return_temp + DegC::new(b + self.noise.sample(rng)))
+    }
+
+    /// Samples the inlet sensors given the true return-air temperature,
+    /// into `out` (one entry per sensor, °C).
+    // lint:allow(no-raw-f64-in-public-api): fills the observation's raw telemetry vector
+    pub fn sample_inlet_sensors<R: Rng>(&self, return_temp: Celsius, rng: &mut R, out: &mut [f64]) {
+        debug_assert_eq!(out.len(), self.n_sensors());
+        for (o, t) in out.iter_mut().zip(self.inlet_readings(return_temp, rng)) {
+            *o = t.value();
+        }
+    }
+
+    /// The mean of one fresh reading of each inlet sensor: the PID's
+    /// process variable on the real unit.
+    pub fn mean_inlet_reading<R: Rng>(&self, return_temp: Celsius, rng: &mut R) -> Celsius {
+        Celsius::new(
+            self.inlet_readings(return_temp, rng)
+                .map(|t| t.value())
+                .sum::<f64>()
+                / self.n_sensors().max(1) as f64,
+        )
     }
 
     /// Advances the compressor control loop by `dt`.
@@ -318,12 +343,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let n = 4000;
         let mut sums = vec![0.0; a.n_sensors()];
+        let mut readings = vec![0.0; a.n_sensors()];
         for _ in 0..n {
-            for (s, v) in sums
-                .iter_mut()
-                .zip(a.sample_inlet_sensors(Celsius::new(25.0), &mut rng))
-            {
-                *s += v.value();
+            a.sample_inlet_sensors(Celsius::new(25.0), &mut rng, &mut readings);
+            for (s, v) in sums.iter_mut().zip(&readings) {
+                *s += v;
             }
         }
         let means: Vec<f64> = sums.iter().map(|s| s / n as f64).collect();

@@ -216,31 +216,27 @@ impl FaultPlan {
             .any(|f| f.window.contains(t_min) && f.kind == PlantFaultKind::FanFailure)
     }
 
-    /// Metric labels of every fault kind active at `t_min`, sorted and
-    /// deduplicated — the testbed edge-detects on this to count fault
-    /// activations.
-    pub fn active_kind_labels(&self, t_min: f64) -> Vec<&'static str> {
-        let mut labels: Vec<&'static str> = self
-            .sensors
+    /// Metric labels of every fault active at `t_min`, in plan order
+    /// (sensor, actuator, then plant faults), one per active fault, so
+    /// a kind can repeat. The testbed edge-detects on these to count
+    /// fault activations.
+    pub fn active_kind_labels(&self, t_min: f64) -> impl Iterator<Item = &'static str> + '_ {
+        self.sensors
             .iter()
-            .filter(|f| f.window.contains(t_min))
+            .filter(move |f| f.window.contains(t_min))
             .map(|f| f.kind.label())
             .chain(
                 self.actuators
                     .iter()
-                    .filter(|f| f.window.contains(t_min))
+                    .filter(move |f| f.window.contains(t_min))
                     .map(|f| f.kind.label()),
             )
             .chain(
                 self.plant
                     .iter()
-                    .filter(|f| f.window.contains(t_min))
+                    .filter(move |f| f.window.contains(t_min))
                     .map(|f| f.kind.label()),
             )
-            .collect();
-        labels.sort_unstable();
-        labels.dedup();
-        labels
     }
 
     /// Applies every active sensor fault to the sampled readings in

@@ -28,6 +28,14 @@ pub trait CoolingPlant {
 
     /// Advances one sampling period with per-server utilization targets.
     fn step_sample(&mut self, utils: &[f64]) -> Result<Observation, SimError>;
+
+    /// [`CoolingPlant::step_sample`] into `obs`. The default replaces
+    /// `obs` with the fresh sample; [`Testbed`] overrides it to write
+    /// into `obs`'s buffers in place.
+    fn step_sample_into(&mut self, utils: &[f64], obs: &mut Observation) -> Result<(), SimError> {
+        *obs = self.step_sample(utils)?;
+        Ok(())
+    }
 }
 
 impl CoolingPlant for Testbed {
@@ -49,6 +57,10 @@ impl CoolingPlant for Testbed {
 
     fn step_sample(&mut self, utils: &[f64]) -> Result<Observation, SimError> {
         Testbed::step_sample(self, utils)
+    }
+
+    fn step_sample_into(&mut self, utils: &[f64], obs: &mut Observation) -> Result<(), SimError> {
+        Testbed::step_sample_into(self, utils, obs)
     }
 }
 

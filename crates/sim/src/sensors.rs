@@ -86,19 +86,24 @@ impl SensorArray {
         self.n_cold
     }
 
-    /// Samples every sensor given the aisle temperatures. Raw `f64`
-    /// readings are returned (not `Celsius`): downstream fault injection
-    /// corrupts them with NaN dropouts and stuck values, so they are
-    /// untrusted telemetry rather than validated quantities.
-    pub fn sample<R: Rng>(&self, cold_aisle: Celsius, hot_aisle: Celsius, rng: &mut R) -> Vec<f64> // lint:allow(no-raw-f64-in-public-api): untrusted bulk telemetry
-    {
-        self.placements
-            .iter()
-            .map(|pl| {
-                let base = (1.0 - pl.mix) * cold_aisle.value() + pl.mix * hot_aisle.value();
-                base + pl.offset + self.noise.sample(rng)
-            })
-            .collect()
+    /// Samples every sensor given the aisle temperatures, into `out`
+    /// (one entry per sensor). Raw `f64` readings are written (not
+    /// `Celsius`): downstream fault injection corrupts them with NaN
+    /// dropouts and stuck values, so they are untrusted telemetry rather
+    /// than validated quantities.
+    // lint:allow(no-raw-f64-in-public-api): untrusted bulk telemetry
+    pub fn sample<R: Rng>(
+        &self,
+        cold_aisle: Celsius,
+        hot_aisle: Celsius,
+        rng: &mut R,
+        out: &mut [f64],
+    ) {
+        debug_assert_eq!(out.len(), self.len());
+        for (o, pl) in out.iter_mut().zip(&self.placements) {
+            let base = (1.0 - pl.mix) * cold_aisle.value() + pl.mix * hot_aisle.value();
+            *o = base + pl.offset + self.noise.sample(rng);
+        }
     }
 
     /// Noise-free reading of the *hottest cold-aisle* location — the
@@ -129,6 +134,13 @@ mod tests {
         Celsius::new(v)
     }
 
+    /// One reading of every sensor of `a`.
+    fn sample(a: &SensorArray, cold: Celsius, hot: Celsius, rng: &mut StdRng) -> Vec<f64> {
+        let mut out = vec![0.0; a.len()];
+        a.sample(cold, hot, rng, &mut out);
+        out
+    }
+
     #[test]
     fn sensor_counts_match_table1() {
         let a = array();
@@ -140,7 +152,7 @@ mod tests {
     fn cold_sensors_read_cooler_than_hot_sensors() {
         let a = array();
         let mut rng = StdRng::seed_from_u64(1);
-        let readings = a.sample(c(18.0), c(26.0), &mut rng);
+        let readings = sample(&a, c(18.0), c(26.0), &mut rng);
         let cold_mean: f64 = readings[..11].iter().sum::<f64>() / 11.0;
         let hot_mean: f64 = readings[11..].iter().sum::<f64>() / 24.0;
         assert!(
@@ -153,8 +165,8 @@ mod tests {
     fn cold_sensor_readings_track_cold_aisle() {
         let a = array();
         let mut rng = StdRng::seed_from_u64(2);
-        let cool = a.sample(c(16.0), c(24.0), &mut rng);
-        let warm = a.sample(c(20.0), c(24.0), &mut rng);
+        let cool = sample(&a, c(16.0), c(24.0), &mut rng);
+        let warm = sample(&a, c(20.0), c(24.0), &mut rng);
         for k in 0..a.n_cold() {
             assert!(
                 warm[k] > cool[k] + 2.0,
@@ -179,8 +191,8 @@ mod tests {
         let mut r1 = StdRng::seed_from_u64(9);
         let mut r2 = StdRng::seed_from_u64(9);
         assert_eq!(
-            a.sample(c(18.0), c(25.0), &mut r1),
-            a.sample(c(18.0), c(25.0), &mut r2)
+            sample(&a, c(18.0), c(25.0), &mut r1),
+            sample(&a, c(18.0), c(25.0), &mut r2)
         );
     }
 
@@ -189,7 +201,7 @@ mod tests {
         let a = array();
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..200 {
-            let r = a.sample(c(18.0), c(26.0), &mut rng);
+            let r = sample(&a, c(18.0), c(26.0), &mut rng);
             for v in r {
                 assert!(v > 10.0 && v < 35.0, "reading {v} out of plausible range");
             }

@@ -22,6 +22,10 @@ pub struct ServerBank {
     /// Memory utilization per server (collected, not control-relevant).
     mem_util: Vec<f64>,
     noise: Normal<f64>,
+    /// The last step size and the fractions of the gap to target that
+    /// CPU and memory utilization close in one step of it, so a run of
+    /// steps at one size computes them once.
+    lag: Option<(f64, f64, f64)>,
 }
 
 impl ServerBank {
@@ -34,6 +38,7 @@ impl ServerBank {
             mem_util: vec![params.mem_base; n],
             params,
             noise,
+            lag: None,
         }
     }
 
@@ -55,14 +60,22 @@ impl ServerBank {
 
     /// Advances the lag dynamics by `dt` seconds.
     pub fn step(&mut self, dt: f64) {
-        let alpha = 1.0 - (-dt / self.params.response_tau_s.max(1e-9)).exp();
+        let (alpha, mem_rate) = match self.lag {
+            Some((at, alpha, mem_rate)) if at.to_bits() == dt.to_bits() => (alpha, mem_rate),
+            _ => {
+                let alpha = 1.0 - (-dt / self.params.response_tau_s.max(1e-9)).exp();
+                let mem_rate = (dt / 120.0).min(1.0);
+                self.lag = Some((dt, alpha, mem_rate));
+                (alpha, mem_rate)
+            }
+        };
         for (eff, tgt) in self.effective_util.iter_mut().zip(&self.target_util) {
             *eff += alpha * (tgt - *eff);
         }
         // Memory follows CPU loosely (paper collects it; nothing uses it).
         for (mem, eff) in self.mem_util.iter_mut().zip(&self.effective_util) {
             let target = self.params.mem_base + 0.4 * eff;
-            *mem += (dt / 120.0).min(1.0) * (target - *mem);
+            *mem += mem_rate * (target - *mem);
         }
     }
 
@@ -80,15 +93,19 @@ impl ServerBank {
     }
 
     /// Instantaneous electrical power per server, kW (with sampling
-    /// noise). Raw `f64` per-server telemetry, not `Kilowatts`: this is
-    /// the bulk sensor boundary the forecaster trains on.
-    pub fn powers_kw<R: Rng>(&self, rng: &mut R) -> Vec<f64> // lint:allow(no-raw-f64-in-public-api): bulk telemetry
-    {
-        self.effective_util
-            .iter()
+    /// noise), into `out` (one entry per server). Raw `f64` per-server
+    /// telemetry, not `Kilowatts`: this is the bulk sensor boundary the
+    /// forecaster trains on.
+    // lint:allow(no-raw-f64-in-public-api): bulk telemetry
+    pub fn powers_kw<R: Rng>(&self, rng: &mut R, out: &mut [f64]) {
+        debug_assert_eq!(out.len(), self.len());
+        for ((o, &u), &t) in out
+            .iter_mut()
+            .zip(&self.effective_util)
             .zip(&self.target_util)
-            .map(|(&u, &t)| (self.server_power(u, t) + self.noise.sample(rng)).max(0.0))
-            .collect()
+        {
+            *o = (self.server_power(u, t) + self.noise.sample(rng)).max(0.0);
+        }
     }
 
     /// Total *heat* injected into the room (noise-free: physics sees
@@ -174,8 +191,9 @@ mod tests {
         let mut b = bank(5);
         b.set_targets(&[0.0; 5]);
         let mut rng = StdRng::seed_from_u64(7);
-        let p1 = b.powers_kw(&mut rng);
-        let p2 = b.powers_kw(&mut rng);
+        let (mut p1, mut p2) = (vec![0.0; 5], vec![0.0; 5]);
+        b.powers_kw(&mut rng, &mut p1);
+        b.powers_kw(&mut rng, &mut p2);
         assert_ne!(p1, p2, "noise should differ across samples");
         for p in p1.iter().chain(&p2) {
             assert!(*p >= 0.0);

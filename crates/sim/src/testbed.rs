@@ -60,6 +60,39 @@ pub struct Observation {
 }
 
 impl Observation {
+    /// An all-zero observation whose vectors have `cfg`'s sensor and
+    /// server counts: the buffers [`Testbed::step_sample_into`] fills.
+    pub fn for_config(cfg: &SimConfig) -> Self {
+        Observation {
+            time_s: 0.0,
+            setpoint: 0.0,
+            acu_inlet_temps: vec![0.0; cfg.n_acu_sensors],
+            dc_temps: vec![0.0; cfg.n_dc_sensors],
+            server_powers_kw: vec![0.0; cfg.n_servers],
+            avg_server_power_kw: 0.0,
+            cpu_utils: vec![0.0; cfg.n_servers],
+            mem_utils: vec![0.0; cfg.n_servers],
+            acu_power_kw: 0.0,
+            acu_energy_kwh: 0.0,
+            duty: 0.0,
+            supply_temp: 0.0,
+            interrupted_frac: 0.0,
+            cold_aisle_max: 0.0,
+            cold_aisle_max_true: 0.0,
+        }
+    }
+
+    /// Gives each vector `cfg`'s length; a vector that has it already
+    /// is left alone, so this allocates only for an observation sized
+    /// for another configuration.
+    fn size_for(&mut self, cfg: &SimConfig) {
+        self.acu_inlet_temps.resize(cfg.n_acu_sensors, 0.0);
+        self.dc_temps.resize(cfg.n_dc_sensors, 0.0);
+        self.server_powers_kw.resize(cfg.n_servers, 0.0);
+        self.cpu_utils.resize(cfg.n_servers, 0.0);
+        self.mem_utils.resize(cfg.n_servers, 0.0);
+    }
+
     /// True if any cold-aisle sensor exceeded `limit` at the sample instant.
     pub fn violates(&self, limit: f64) -> bool {
         self.cold_aisle_max > limit
@@ -237,8 +270,9 @@ impl Testbed {
     /// utilization, without producing observations. Useful to start
     /// experiments from equilibrium instead of the arbitrary initial state.
     pub fn warm_up(&mut self, utils: &[f64], minutes: usize) -> Result<(), SimError> {
+        let mut obs = Observation::for_config(&self.cfg);
         for _ in 0..minutes {
-            self.step_sample(utils)?;
+            self.step_sample_into(utils, &mut obs)?;
         }
         Ok(())
     }
@@ -246,6 +280,21 @@ impl Testbed {
     /// Advances one sampling period (`cfg.sample_period_s`) with the given
     /// per-server utilization targets and returns the telemetry sample.
     pub fn step_sample(&mut self, utils: &[f64]) -> Result<Observation, SimError> {
+        let mut obs = Observation::for_config(&self.cfg);
+        self.step_sample_into(utils, &mut obs)?;
+        Ok(obs)
+    }
+
+    /// [`Testbed::step_sample`] into `obs`, overwriting every field in
+    /// place. An observation from [`Observation::for_config`] (or from
+    /// an earlier step) already has the right lengths, so the step
+    /// allocates nothing; a vector of another length is resized first.
+    /// On an error `obs` is left untouched.
+    pub fn step_sample_into(
+        &mut self,
+        utils: &[f64],
+        obs: &mut Observation,
+    ) -> Result<(), SimError> {
         if utils.len() != self.cfg.n_servers {
             return Err(SimError::BadUtilization {
                 expected: self.cfg.n_servers,
@@ -263,16 +312,7 @@ impl Testbed {
         // minutes, one sample is one minute).
         let t_min = self.time_min();
         if tesla_obs::enabled() {
-            let now_active = self.faults.active_kind_labels(t_min);
-            for kind in &now_active {
-                if !self.active_faults.contains(kind) {
-                    tesla_obs::global()
-                        .counter("sim_fault_activations_total", &[("kind", kind)])
-                        .inc();
-                    tesla_obs::event("fault_activated", &[("t_min", t_min)]);
-                }
-            }
-            self.active_faults = now_active;
+            self.record_fault_activations(t_min);
         }
         self.acu
             .set_capacity_derate(self.faults.capacity_factor(t_min));
@@ -294,11 +334,7 @@ impl Testbed {
             let heat = self.servers.total_heat_kw();
             let true_return = self.thermal.return_temp();
             // The PID acts on its (noisy, biased) inlet sensors.
-            let inlet_samples = self.acu.sample_inlet_sensors(true_return, &mut self.rng);
-            let measured = Celsius::new(
-                inlet_samples.iter().map(|t| t.value()).sum::<f64>()
-                    / inlet_samples.len().max(1) as f64,
-            );
+            let measured = self.acu.mean_inlet_reading(true_return, &mut self.rng);
             let step = self
                 .acu
                 .step(measured, true_return, mdot_cp, Seconds::new(dt));
@@ -324,13 +360,11 @@ impl Testbed {
             Celsius::new(state.cold_aisle),
             Celsius::new(state.hot_aisle),
         );
-        let mut acu_inlet_temps: Vec<f64> = self
-            .acu
-            .sample_inlet_sensors(hot_bulk, &mut self.rng)
-            .iter()
-            .map(|t| t.value())
-            .collect();
-        let mut dc_temps = self.sensors.sample(cold_bulk, hot_bulk, &mut self.rng);
+        obs.size_for(&self.cfg);
+        self.acu
+            .sample_inlet_sensors(hot_bulk, &mut self.rng, &mut obs.acu_inlet_temps);
+        self.sensors
+            .sample(cold_bulk, hot_bulk, &mut self.rng, &mut obs.dc_temps);
         let cold_aisle_max_true = self
             .sensors
             .cold_aisle_max_true(cold_bulk, hot_bulk)
@@ -338,41 +372,62 @@ impl Testbed {
         // Sensor faults corrupt only what is *reported*; the physics and
         // the ground-truth max above are untouched. Faults resolve
         // against the minute this sample started, matching plant faults.
-        self.faults
-            .corrupt_readings(t_min, &mut dc_temps, &mut acu_inlet_temps, &mut self.rng);
-        let server_powers_kw = self.servers.powers_kw(&mut self.rng);
+        self.faults.corrupt_readings(
+            t_min,
+            &mut obs.dc_temps,
+            &mut obs.acu_inlet_temps,
+            &mut self.rng,
+        );
+        self.servers
+            .powers_kw(&mut self.rng, &mut obs.server_powers_kw);
         let avg_server_power_kw =
-            server_powers_kw.iter().sum::<f64>() / server_powers_kw.len().max(1) as f64;
+            obs.server_powers_kw.iter().sum::<f64>() / obs.server_powers_kw.len().max(1) as f64;
         // NaN dropouts are skipped by f64::max.
-        let cold_aisle_max = dc_temps[..self.cfg.n_cold_aisle_sensors]
+        let cold_aisle_max = obs.dc_temps[..self.cfg.n_cold_aisle_sensors]
             .iter()
             .copied()
             .fold(f64::NEG_INFINITY, f64::max);
 
         self.registers
             .write_power_kw(REG_POWER_W, Kilowatts::new(last_power));
-        for (i, v) in acu_inlet_temps.iter().enumerate() {
+        for (i, v) in obs.acu_inlet_temps.iter().enumerate() {
             self.registers
                 .write_temp(REG_INLET_BASE + i as u16, Celsius::new(*v));
         }
 
-        Ok(Observation {
-            time_s: self.time_s,
-            setpoint: self.acu.setpoint().value(),
-            acu_inlet_temps,
-            dc_temps,
-            cpu_utils: self.servers.effective_utils().to_vec(),
-            mem_utils: self.servers.mem_utils().to_vec(),
-            server_powers_kw,
-            avg_server_power_kw,
-            acu_power_kw: last_power,
-            acu_energy_kwh: energy_kwh,
-            duty: last_duty,
-            supply_temp: last_supply,
-            interrupted_frac: interrupted_steps as f64 / steps as f64,
-            cold_aisle_max,
-            cold_aisle_max_true,
-        })
+        obs.time_s = self.time_s;
+        obs.setpoint = self.acu.setpoint().value();
+        obs.cpu_utils
+            .copy_from_slice(self.servers.effective_utils());
+        obs.mem_utils.copy_from_slice(self.servers.mem_utils());
+        obs.avg_server_power_kw = avg_server_power_kw;
+        obs.acu_power_kw = last_power;
+        obs.acu_energy_kwh = energy_kwh;
+        obs.duty = last_duty;
+        obs.supply_temp = last_supply;
+        obs.interrupted_frac = interrupted_steps as f64 / steps as f64;
+        obs.cold_aisle_max = cold_aisle_max;
+        obs.cold_aisle_max_true = cold_aisle_max_true;
+        Ok(())
+    }
+
+    /// Counts each fault kind that is active at `t_min` and was not at
+    /// the previous sample, and remembers the active kinds. The caller
+    /// runs it only while metrics collection is on.
+    // lint:allow(no-alloc-in-decide-steady-state): metrics-only bookkeeping; the sample path calls it only while collection is on, and the label list is as long as the active faults
+    fn record_fault_activations(&mut self, t_min: f64) {
+        let mut now_active: Vec<&'static str> = self.faults.active_kind_labels(t_min).collect();
+        now_active.sort_unstable();
+        now_active.dedup();
+        for kind in &now_active {
+            if !self.active_faults.contains(kind) {
+                tesla_obs::global()
+                    .counter("sim_fault_activations_total", &[("kind", kind)])
+                    .inc();
+                tesla_obs::event("fault_activated", &[("t_min", t_min)]);
+            }
+        }
+        self.active_faults = now_active;
     }
 }
 
@@ -769,6 +824,152 @@ mod tests {
             t0b,
             "a rejected transfer moves nothing"
         );
+    }
+
+    /// Every field of `o` as bits, by name.
+    fn field_bits(o: &Observation) -> Vec<(&'static str, Vec<u64>)> {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        vec![
+            ("time_s", bits(&[o.time_s])),
+            ("setpoint", bits(&[o.setpoint])),
+            ("acu_inlet_temps", bits(&o.acu_inlet_temps)),
+            ("dc_temps", bits(&o.dc_temps)),
+            ("server_powers_kw", bits(&o.server_powers_kw)),
+            ("avg_server_power_kw", bits(&[o.avg_server_power_kw])),
+            ("cpu_utils", bits(&o.cpu_utils)),
+            ("mem_utils", bits(&o.mem_utils)),
+            ("acu_power_kw", bits(&[o.acu_power_kw])),
+            ("acu_energy_kwh", bits(&[o.acu_energy_kwh])),
+            ("duty", bits(&[o.duty])),
+            ("supply_temp", bits(&[o.supply_temp])),
+            ("interrupted_frac", bits(&[o.interrupted_frac])),
+            ("cold_aisle_max", bits(&[o.cold_aisle_max])),
+            ("cold_aisle_max_true", bits(&[o.cold_aisle_max_true])),
+        ]
+    }
+
+    /// Each vector buffer of `o`: where it lives and how long it is.
+    fn buffers(o: &Observation) -> [(*const f64, usize); 5] {
+        [
+            &o.acu_inlet_temps,
+            &o.dc_temps,
+            &o.server_powers_kw,
+            &o.cpu_utils,
+            &o.mem_utils,
+        ]
+        .map(|v| (v.as_ptr(), v.len()))
+    }
+
+    #[test]
+    fn a_reused_observation_matches_a_fresh_one_bit_for_bit() {
+        use crate::faults::{
+            FaultPlan, FaultWindow, PlantFault, PlantFaultKind, SensorFault, SensorFaultKind,
+            SensorTarget,
+        };
+        // Every sensor-fault kind, including a noise burst that draws
+        // from the plant's RNG mid-sample, and a fouled coil.
+        let sensor = |target, kind, from, to| SensorFault {
+            target,
+            kind,
+            window: FaultWindow::new(from, to),
+        };
+        let plan = FaultPlan {
+            sensors: vec![
+                sensor(
+                    SensorTarget::DcSensor(2),
+                    SensorFaultKind::StuckAt(45.0),
+                    20.0,
+                    60.0,
+                ),
+                sensor(
+                    SensorTarget::AcuInlet(1),
+                    SensorFaultKind::Drift {
+                        rate_c_per_min: 0.1,
+                    },
+                    30.0,
+                    120.0,
+                ),
+                sensor(
+                    SensorTarget::DcSensor(5),
+                    SensorFaultKind::Dropout,
+                    50.0,
+                    80.0,
+                ),
+                sensor(
+                    SensorTarget::DcSensor(0),
+                    SensorFaultKind::NoiseBurst { std_c: 1.5 },
+                    10.0,
+                    150.0,
+                ),
+            ],
+            plant: vec![PlantFault {
+                kind: PlantFaultKind::FouledCoil {
+                    capacity_factor: 0.4,
+                },
+                window: FaultWindow::new(40.0, 100.0),
+            }],
+            ..FaultPlan::default()
+        };
+        let cfg = SimConfig::default();
+        let mut fresh = Testbed::new(cfg.clone(), 11).unwrap();
+        let mut reused = Testbed::new(cfg.clone(), 11).unwrap();
+        for tb in [&mut fresh, &mut reused] {
+            tb.set_fault_plan(plan.clone());
+            tb.write_setpoint(Celsius::new(23.0));
+        }
+        // The reused observation starts out poisoned, so a field the
+        // step fails to overwrite shows up at the first comparison.
+        let mut obs = Observation::for_config(&cfg);
+        for v in [
+            &mut obs.acu_inlet_temps,
+            &mut obs.dc_temps,
+            &mut obs.server_powers_kw,
+            &mut obs.cpu_utils,
+            &mut obs.mem_utils,
+        ] {
+            v.fill(-1.0);
+        }
+        for x in [
+            &mut obs.time_s,
+            &mut obs.setpoint,
+            &mut obs.avg_server_power_kw,
+            &mut obs.acu_power_kw,
+            &mut obs.acu_energy_kwh,
+            &mut obs.duty,
+            &mut obs.supply_temp,
+            &mut obs.interrupted_frac,
+            &mut obs.cold_aisle_max,
+            &mut obs.cold_aisle_max_true,
+        ] {
+            *x = -1.0;
+        }
+        let mut first = None;
+        let (mut dropouts, mut stuck) = (0, 0);
+        for minute in 0..200 {
+            let u = 0.3 + 0.2 * (minute as f64 * 0.05).sin();
+            let utils: Vec<f64> = (0..cfg.n_servers)
+                .map(|i| (u + 0.01 * i as f64).min(1.0))
+                .collect();
+            if minute % 7 == 0 {
+                let sp = Celsius::new(22.0 + (minute % 5) as f64);
+                fresh.write_setpoint(sp);
+                reused.write_setpoint(sp);
+            }
+            let expected = fresh.step_sample(&utils).unwrap();
+            reused.step_sample_into(&utils, &mut obs).unwrap();
+            for ((name, want), (_, got)) in field_bits(&expected).into_iter().zip(field_bits(&obs))
+            {
+                assert_eq!(want, got, "{name} at minute {minute}");
+            }
+            dropouts += usize::from(obs.dc_temps[5].is_nan());
+            stuck += usize::from(obs.dc_temps[2] == 45.0);
+            let now = buffers(&obs);
+            match first {
+                None => first = Some(now),
+                Some(before) => assert_eq!(before, now, "a buffer moved at minute {minute}"),
+            }
+        }
+        assert_eq!((dropouts, stuck), (30, 40), "the sensor faults were live");
     }
 
     #[test]

@@ -127,6 +127,11 @@ pub struct HealthMonitor {
     cfg: HealthConfig,
     signals: Vec<SignalState>,
     samples_seen: u64,
+    /// [`HealthMonitor::sanitize`]'s clean candidates, kept between
+    /// samples so a sample allocates only what its report holds.
+    candidates: Vec<usize>,
+    /// [`HealthMonitor::sanitize`]'s sort buffer, kept likewise.
+    sorted: Vec<f64>,
 }
 
 impl HealthMonitor {
@@ -136,6 +141,8 @@ impl HealthMonitor {
             cfg,
             signals: (0..n_signals).map(|_| SignalState::new()).collect(),
             samples_seen: 0,
+            candidates: Vec::with_capacity(n_signals),
+            sorted: Vec::with_capacity(n_signals),
         }
     }
 
@@ -187,7 +194,9 @@ impl HealthMonitor {
         // values. Signals that look clean in isolation are only promoted
         // to `last_good` after the cross-sensor peer check below —
         // otherwise an in-band liar would poison its own fallback value.
-        let mut clean_candidates: Vec<usize> = Vec::new();
+        let mut clean_candidates = std::mem::take(&mut self.candidates);
+        clean_candidates.clear();
+        let mut sorted = std::mem::take(&mut self.sorted);
         for (k, &raw) in readings.iter().enumerate() {
             let s = &mut self.signals[k];
             // Track the repeat run on the raw stream: after this update,
@@ -245,7 +254,8 @@ impl HealthMonitor {
             // it, else the next slot. Values tied under `total_cmp` are
             // bit-equal, so which tied slot is the candidate's own does
             // not matter.
-            let mut sorted: Vec<f64> = clean_candidates.iter().map(|&k| readings[k]).collect();
+            sorted.clear();
+            sorted.extend(clean_candidates.iter().map(|&k| readings[k]));
             sorted.sort_unstable_by(f64::total_cmp);
             let mid = (sorted.len() - 1) / 2;
             let (below, above) = (sorted[mid], sorted[mid + 1]);
@@ -285,15 +295,19 @@ impl HealthMonitor {
         let median = if quarantined_now == 0 {
             None
         } else {
-            let mut healthy: Vec<f64> = readings
-                .iter()
-                .enumerate()
-                .filter(|&(k, v)| !self.is_quarantined(k) && v.is_finite())
-                .map(|(_, &v)| v)
-                .collect();
-            healthy.sort_unstable_by(f64::total_cmp);
-            healthy.get(healthy.len() / 2).copied()
+            sorted.clear();
+            sorted.extend(
+                readings
+                    .iter()
+                    .enumerate()
+                    .filter(|&(k, v)| !self.is_quarantined(k) && v.is_finite())
+                    .map(|(_, &v)| v),
+            );
+            sorted.sort_unstable_by(f64::total_cmp);
+            sorted.get(sorted.len() / 2).copied()
         };
+        self.candidates = clean_candidates;
+        self.sorted = sorted;
 
         // Pass 2: impute quarantined signals.
         for (k, v) in readings.iter_mut().enumerate() {

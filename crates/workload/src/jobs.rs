@@ -47,7 +47,8 @@ pub struct Orchestrator {
     jobs: Vec<Job>,
     next_id: u64,
     placement: Placement,
-    /// Cached per-server utilization from the last `tick`.
+    /// Per-server utilization from the last `tick`, which returns it.
+    /// While `tick` submits jobs it holds the committed load.
     last_utils: Vec<f64>,
 }
 
@@ -87,13 +88,20 @@ impl Orchestrator {
     /// Current per-server utilization (sum of resident jobs, clamped).
     pub fn server_utils(&self) -> Vec<f64> {
         let mut utils = vec![0.0; self.n_servers];
-        for j in &self.jobs {
+        Self::sum_utils(&self.jobs, &mut utils);
+        utils
+    }
+
+    /// Writes each server's utilization into `utils`: zero, plus each
+    /// resident job's share in job order, clamped to `[0, 1]`.
+    fn sum_utils(jobs: &[Job], utils: &mut [f64]) {
+        utils.fill(0.0);
+        for j in jobs {
             utils[j.server] += j.controller.utilization();
         }
-        for u in &mut utils {
+        for u in utils {
             *u = u.clamp(0.0, 1.0);
         }
-        utils
     }
 
     /// Cluster-average utilization.
@@ -106,8 +114,10 @@ impl Orchestrator {
 
     /// Advances all jobs by `dt` seconds, reaps the finished ones, then
     /// submits new jobs as needed so the cluster average approaches
-    /// `target_util`. Returns per-server utilizations.
-    pub fn tick<R: Rng>(&mut self, dt: f64, target_util: f64, rng: &mut R) -> Vec<f64> {
+    /// `target_util`. Returns per-server utilizations, from a buffer the
+    /// orchestrator keeps, so a tick allocates only to grow its job
+    /// list.
+    pub fn tick<R: Rng>(&mut self, dt: f64, target_util: f64, rng: &mut R) -> &[f64] {
         for j in &mut self.jobs {
             j.controller.tick(dt, rng);
         }
@@ -116,7 +126,8 @@ impl Orchestrator {
         let target = target_util.clamp(0.0, 1.0);
         // Submit jobs until the committed load covers the target; each job
         // commits a modest slice on the least-loaded server.
-        let mut utils = self.server_utils();
+        let mut utils = std::mem::take(&mut self.last_utils);
+        Self::sum_utils(&self.jobs, &mut utils);
         let mut guard = 0;
         while self.cluster_util_of(&utils) + 1e-9 < target && guard < 4 * self.n_servers {
             guard += 1;
@@ -164,9 +175,9 @@ impl Orchestrator {
         }
         // If above target, nothing to do: jobs simply expire (Kubernetes
         // Jobs are not preempted either).
-        let final_utils = self.server_utils();
-        self.last_utils.copy_from_slice(&final_utils);
-        final_utils
+        Self::sum_utils(&self.jobs, &mut utils);
+        self.last_utils = utils;
+        &self.last_utils
     }
 
     fn cluster_util_of(&self, utils: &[f64]) -> f64 {
@@ -212,7 +223,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut utils = Vec::new();
         for _ in 0..120 {
-            utils = orch.tick(60.0, 0.35, &mut rng);
+            utils = orch.tick(60.0, 0.35, &mut rng).to_vec();
         }
         let min = utils.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = utils.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
@@ -231,7 +242,7 @@ mod tests {
             let utils = orch.tick(60.0, target, &mut rng);
             assert_eq!(utils.len(), 5);
             for u in utils {
-                assert!((0.0..=1.0).contains(&u));
+                assert!((0.0..=1.0).contains(u));
             }
         }
     }
@@ -281,7 +292,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..120 {
             let utils = packed.tick(60.0, 0.6, &mut rng);
-            for u in utils {
+            for &u in utils {
                 assert!(u <= 1.0 + 1e-9);
             }
         }

@@ -23,7 +23,7 @@ proptest! {
         for _ in 0..80 {
             let utils = orch.tick(60.0, target, &mut rng);
             prop_assert_eq!(utils.len(), n_servers);
-            for u in &utils {
+            for u in utils {
                 prop_assert!((0.0..=1.0).contains(u));
             }
         }

@@ -53,7 +53,7 @@ fn run(retrain_every: Option<u64>) -> DriftOutcome {
     for _ in 0..60 {
         let t = profile.sample(0.0, &mut rng);
         let utils = orch.tick(60.0, t, &mut rng);
-        let obs = tb.step_sample(&utils).expect("step");
+        let obs = tb.step_sample(utils).expect("step");
         push_observation(&mut trace, &obs);
     }
 
@@ -69,7 +69,7 @@ fn run(retrain_every: Option<u64>) -> DriftOutcome {
         tb.write_setpoint(Celsius::new(sp));
         let t = profile.sample(m as f64 * 60.0, &mut rng);
         let utils = orch.tick(60.0, t, &mut rng);
-        let obs = tb.step_sample(&utils).expect("step");
+        let obs = tb.step_sample(utils).expect("step");
         if m >= drift_at {
             energy_after_drift += obs.acu_energy_kwh;
             if obs.cold_aisle_max > 22.0 {

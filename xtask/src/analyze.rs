@@ -3,8 +3,9 @@
 //!
 //! The engine proves reachability properties from declared roots (see
 //! [`workspace_rule_config`]): panic-freedom on the control path, no
-//! steady-state heap allocation under `TeslaController::decide` and
-//! `LazicController::decide`, a global lock acquisition order, and no
+//! steady-state heap allocation under `TeslaController::decide`,
+//! `LazicController::decide` and `Testbed::step_sample_into`, a global
+//! lock acquisition order, and no
 //! blocking calls inside the deadline-bounded `Supervisor::decide`
 //! path. Findings are gated by a ratchet: `analysis-baseline.json`
 //! records the allowed active count per rule, `--deny` fails when a
@@ -55,6 +56,9 @@ pub fn workspace_rule_config() -> RuleConfig {
         alloc_roots: vec![
             "TeslaController::decide".to_string(),
             "LazicController::decide".to_string(),
+            // The plant's one-minute step, which every zone of a fleet
+            // runs each minute.
+            "Testbed::step_sample_into".to_string(),
         ],
         blocking_roots: vec![
             "Supervisor::decide".to_string(),

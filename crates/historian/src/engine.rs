@@ -191,6 +191,32 @@ impl Series {
         newest_first
     }
 
+    /// Values with `t0 <= time < t1` (`t0 < t1`, neither NaN), oldest
+    /// first. The time column is nondecreasing across the parts, so each
+    /// part contributes the slice its own binary search finds, and only
+    /// the sealed blocks that meet the window are decompressed.
+    fn range(&self, t0: f64, t1: f64) -> Vec<f64> {
+        let window =
+            |times: &[f64]| times.partition_point(|&t| t < t0)..times.partition_point(|&t| t < t1);
+        let mut out = self.down_values[window(&self.down_times)].to_vec();
+        if let Some((t, sum, n)) = self.agg {
+            if t0 <= t && t < t1 {
+                out.push(sum / n as f64);
+            }
+        }
+        for block in &self.sealed {
+            if block.last_t < t0 || block.first_t >= t1 {
+                continue;
+            }
+            match gorilla::decompress(&block.bytes) {
+                Ok((ts, vs)) => out.extend_from_slice(&vs[window(&ts)]),
+                Err(_) => debug_assert!(false, "self-compressed block failed to decompress"),
+            }
+        }
+        out.extend_from_slice(&self.active_values[window(&self.active_times)]);
+        out
+    }
+
     fn last(&self) -> Option<f64> {
         if let Some(v) = self.active_values.last() {
             return Some(*v);
@@ -315,11 +341,7 @@ impl Historian {
     pub fn append_batch(&self, metric: &str, samples: &[(f64, f64)]) {
         let mut shard = self.lock_shard(metric);
         if let Some(wal) = shard.wal.as_mut() {
-            let record = WalRecord::Samples {
-                series: metric.to_string(),
-                samples: samples.to_vec(),
-            };
-            if let Err(e) = wal.append(&record) {
+            if let Err(e) = wal.append(metric, samples) {
                 tesla_obs::counter!("historian_wal_write_errors_total").inc();
                 debug_assert!(false, "WAL append failed: {e}");
             }
@@ -355,11 +377,7 @@ impl Historian {
             while i < order.len() && order[i].0 == s {
                 let (metric, samples) = &runs[order[i].1];
                 if let Some(wal) = shard.wal.as_mut() {
-                    let record = WalRecord::Samples {
-                        series: metric.to_string(),
-                        samples: samples.to_vec(),
-                    };
-                    if let Err(e) = wal.append(&record) {
+                    if let Err(e) = wal.append(metric, samples) {
                         tesla_obs::counter!("historian_wal_write_errors_total").inc();
                         debug_assert!(false, "WAL append failed: {e}");
                     }
@@ -573,13 +591,13 @@ impl MetricStore for Historian {
         if t0.is_nan() || t1.is_nan() || t0 >= t1 {
             return Vec::new();
         }
-        let (times, values) = match self.series_samples(metric) {
-            Some(tv) => tv,
-            None => return Vec::new(),
-        };
-        let lo = times.partition_point(|&t| t < t0);
-        let hi = times.partition_point(|&t| t < t1);
-        values[lo..hi].to_vec()
+        let shard = self.lock_shard(metric);
+        shard
+            .series
+            .get(metric)
+            // analysis:resolve(Series::range)
+            .map(|s| s.range(t0, t1))
+            .unwrap_or_default()
     }
 
     fn values(&self, metric: &str) -> Vec<f64> {
@@ -685,6 +703,103 @@ mod tests {
         assert_eq!(h.range("m", 9.0, 10.0), vec![9.0]); // last sample only
         let all: Vec<f64> = (0..10).map(|i| i as f64).collect();
         assert_eq!(h.range("m", -1e9, 1e9), all); // the whole range
+    }
+
+    /// `range` by full decode: the whole series, then a binary search of
+    /// the full time column. The reference the per-part `range` must
+    /// equal.
+    fn range_full_decode(h: &Historian, metric: &str, t0: f64, t1: f64) -> Vec<f64> {
+        if t0.is_nan() || t1.is_nan() || t0 >= t1 {
+            return Vec::new();
+        }
+        let Some((times, values)) = h.series_samples(metric) else {
+            return Vec::new();
+        };
+        let lo = times.partition_point(|&t| t < t0);
+        let hi = times.partition_point(|&t| t < t1);
+        values[lo..hi].to_vec()
+    }
+
+    /// Every time at which one part of `metric` ends and the next starts:
+    /// downsampled points, the pending bucket, each sealed block's first
+    /// and last sample, and the active block's.
+    fn part_boundaries(h: &Historian, metric: &str) -> Vec<f64> {
+        let shard = h.lock_shard(metric);
+        let s = &shard.series[metric];
+        let mut out: Vec<f64> = [s.down_times.first(), s.down_times.last()]
+            .into_iter()
+            .flatten()
+            .copied()
+            .collect();
+        out.extend(s.agg.map(|(t, _, _)| t));
+        for b in &s.sealed {
+            out.extend([b.first_t, b.last_t]);
+        }
+        out.extend(
+            [s.active_times.first(), s.active_times.last()]
+                .into_iter()
+                .flatten(),
+        );
+        out
+    }
+
+    #[test]
+    fn range_matches_full_decode_reference() {
+        // Two series: one under retention with every part present and
+        // irregular steps, and one whose every sealed block ends on the
+        // time the next one starts with (t = i − ⌊i/8⌋).
+        let h = Historian::in_memory(HistorianConfig {
+            shards: 2,
+            block_len: 8,
+            retention: Some(RetentionPolicy {
+                raw_horizon_s: 120.0,
+                downsample_horizon_s: 600.0,
+                bucket_s: 60.0,
+            }),
+            ..HistorianConfig::default()
+        });
+        let mut t = 0.0;
+        for i in 0..300u64 {
+            t += [7.0, 7.0, 3.5, 0.0, 11.0][(i * 7 % 5) as usize];
+            h.insert("retained", t, (i % 13) as f64);
+        }
+        let plain = Historian::in_memory(small_cfg());
+        for i in 0..61u64 {
+            plain.insert("dup", (i - i / 8) as f64, i as f64);
+        }
+        let stats = h.storage_stats();
+        assert!(stats.downsampled > 1 && stats.sealed_samples > 0 && stats.active_samples > 0);
+        for (store, metric) in [(&h, "retained"), (&plain, "dup")] {
+            let mut edges = vec![f64::NAN, f64::NEG_INFINITY, f64::INFINITY, -1e9, 1e9];
+            for b in part_boundaries(store, metric) {
+                // On, just before and just after each boundary.
+                edges.extend([b, b - 0.25, b + 0.25, b - 1e-9, b + 1e-9]);
+            }
+            for &a in &edges {
+                for &b in &edges {
+                    assert_eq!(
+                        store.range(metric, a, b),
+                        range_full_decode(store, metric, a, b),
+                        "{metric}: window [{a}, {b})"
+                    );
+                }
+            }
+        }
+        // Random windows over the retained series.
+        let mut x = 0x00DD_BA11_DEAD_BEEF_u64;
+        for _ in 0..2000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let a = (x % 2600) as f64 - 100.0 + (x >> 40) as f64 / (1u64 << 24) as f64;
+            let b = a + ((x >> 12) % 400) as f64 - 40.0;
+            assert_eq!(
+                h.range("retained", a, b),
+                range_full_decode(&h, "retained", a, b),
+                "window [{a}, {b})"
+            );
+        }
+        assert!(h.range("absent", 0.0, 1.0).is_empty());
     }
 
     #[test]

@@ -22,12 +22,17 @@
 // are bounded by the buffer lengths the encoder itself maintains.
 use crate::HistorianError;
 
-/// Append-only bit buffer.
+/// Append-only bit buffer. Bits collect most-significant first in a
+/// 64-bit word, which goes out as 8 big-endian bytes when it fills, so
+/// the byte stream is the same as appending one bit at a time.
 #[derive(Debug, Default)]
 pub struct BitWriter {
     bytes: Vec<u8>,
-    /// Bits used in the final byte (0 when byte-aligned).
-    used: u8,
+    /// Pending bits, left-aligned: the next bit lands at bit
+    /// `63 - filled`; every bit below it is zero.
+    acc: u64,
+    /// Bits pending in `acc` (always below 64).
+    filled: u32,
 }
 
 impl BitWriter {
@@ -38,36 +43,43 @@ impl BitWriter {
 
     /// Appends a single bit.
     pub fn push_bit(&mut self, bit: bool) {
-        if self.used == 0 {
-            self.bytes.push(0);
-        }
-        if bit {
-            let last = self.bytes.len() - 1;
-            self.bytes[last] |= 1 << (7 - self.used);
-        }
-        self.used = (self.used + 1) % 8;
+        self.push_bits(u64::from(bit), 1);
     }
 
     /// Appends the low `n` bits of `v`, most-significant first.
     pub fn push_bits(&mut self, v: u64, n: u8) {
         debug_assert!(n <= 64);
-        for i in (0..n).rev() {
-            self.push_bit((v >> i) & 1 == 1);
+        let n = u32::from(n);
+        if n == 0 {
+            return;
         }
+        let v = if n == 64 { v } else { v & ((1 << n) - 1) };
+        let free = 64 - self.filled;
+        if n < free {
+            self.acc |= v << (free - n);
+            self.filled += n;
+            return;
+        }
+        // Fill the word with the top `free` bits, emit it, and keep the
+        // `spill` bits that did not fit.
+        let spill = n - free;
+        self.acc |= v >> spill;
+        self.bytes.extend_from_slice(&self.acc.to_be_bytes());
+        self.acc = if spill == 0 { 0 } else { v << (64 - spill) };
+        self.filled = spill;
     }
 
     /// The packed bytes (final partial byte zero-padded).
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        let tail = self.filled.div_ceil(8) as usize;
+        self.bytes
+            .extend_from_slice(&self.acc.to_be_bytes()[..tail]);
         self.bytes
     }
 
     /// Total bits written so far.
     pub fn bit_len(&self) -> usize {
-        if self.used == 0 {
-            self.bytes.len() * 8
-        } else {
-            (self.bytes.len() - 1) * 8 + self.used as usize
-        }
+        self.bytes.len() * 8 + self.filled as usize
     }
 }
 
@@ -136,20 +148,18 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// Writes one delta-of-delta with the Gorilla bucket prefix codes.
+/// Writes one delta-of-delta with the Gorilla bucket prefix codes, each
+/// prefix and its payload in one push.
 fn push_dod(w: &mut BitWriter, dod: i64) {
     let z = zigzag(dod);
     if dod == 0 {
         w.push_bit(false);
     } else if z < (1 << 7) {
-        w.push_bits(0b10, 2);
-        w.push_bits(z, 7);
+        w.push_bits(0b10 << 7 | z, 9);
     } else if z < (1 << 9) {
-        w.push_bits(0b110, 3);
-        w.push_bits(z, 9);
+        w.push_bits(0b110 << 9 | z, 12);
     } else if z < (1 << 12) {
-        w.push_bits(0b1110, 4);
-        w.push_bits(z, 12);
+        w.push_bits(0b1110 << 12 | z, 16);
     } else {
         w.push_bits(0b1111, 4);
         w.push_bits(z, 64);
@@ -214,20 +224,21 @@ pub fn compress(times: &[f64], values: &[f64]) -> Vec<u8> {
             w.push_bit(false);
             continue;
         }
-        w.push_bit(true);
         let leading = xor.leading_zeros().min(31);
         let trailing = xor.trailing_zeros();
         if prev_leading <= leading && prev_trailing <= trailing {
-            // Fits the previous window: reuse it.
-            w.push_bit(false);
+            // Fits the previous window: `10`, then the payload.
+            w.push_bits(0b10, 2);
             let len = 64 - prev_leading - prev_trailing;
             w.push_bits(xor >> prev_trailing, len as u8);
         } else {
-            // New window: 5 bits leading, 6 bits (length − 1), payload.
-            w.push_bit(true);
+            // New window: `11`, 5 bits leading, 6 bits (length − 1),
+            // then the payload.
             let len = 64 - leading - trailing;
-            w.push_bits(leading as u64, 5);
-            w.push_bits((len - 1) as u64, 6);
+            w.push_bits(
+                0b11 << 11 | u64::from(leading) << 6 | u64::from(len - 1),
+                13,
+            );
             w.push_bits(xor >> trailing, len as u8);
             prev_leading = leading;
             prev_trailing = trailing;
@@ -296,6 +307,183 @@ pub fn decompress(bytes: &[u8]) -> Result<(Vec<f64>, Vec<f64>), HistorianError> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A bit-at-a-time writer: the reference the word writer's bytes
+    /// must equal.
+    #[derive(Default)]
+    struct BitByBit {
+        bytes: Vec<u8>,
+        used: u8,
+    }
+
+    impl BitByBit {
+        fn push_bit(&mut self, bit: bool) {
+            if self.used == 0 {
+                self.bytes.push(0);
+            }
+            if bit {
+                let last = self.bytes.len() - 1;
+                self.bytes[last] |= 1 << (7 - self.used);
+            }
+            self.used = (self.used + 1) % 8;
+        }
+
+        fn push_bits(&mut self, v: u64, n: u8) {
+            for i in (0..n).rev() {
+                self.push_bit((v >> i) & 1 == 1);
+            }
+        }
+
+        fn bit_len(&self) -> usize {
+            match self.used {
+                0 => self.bytes.len() * 8,
+                used => (self.bytes.len() - 1) * 8 + used as usize,
+            }
+        }
+    }
+
+    /// `compress` as written against [`BitByBit`]: every prefix, header
+    /// field and payload pushed on its own.
+    fn compress_bit_by_bit(times: &[f64], values: &[f64]) -> Vec<u8> {
+        let mut w = BitByBit::default();
+        w.push_bits(times.len() as u64, 32);
+        if times.is_empty() {
+            return w.bytes;
+        }
+        let mut prev_key = total_order_key(times[0]);
+        w.push_bits(prev_key, 64);
+        let mut prev_bits = values[0].to_bits();
+        w.push_bits(prev_bits, 64);
+        let mut prev_delta: i64 = 0;
+        let (mut prev_leading, mut prev_trailing) = (65u32, 65u32);
+        for i in 1..times.len() {
+            let key = total_order_key(times[i]);
+            let delta = key.wrapping_sub(prev_key) as i64;
+            let dod = delta.wrapping_sub(prev_delta);
+            let z = zigzag(dod);
+            if dod == 0 {
+                w.push_bit(false);
+            } else if z < (1 << 7) {
+                w.push_bits(0b10, 2);
+                w.push_bits(z, 7);
+            } else if z < (1 << 9) {
+                w.push_bits(0b110, 3);
+                w.push_bits(z, 9);
+            } else if z < (1 << 12) {
+                w.push_bits(0b1110, 4);
+                w.push_bits(z, 12);
+            } else {
+                w.push_bits(0b1111, 4);
+                w.push_bits(z, 64);
+            }
+            prev_key = key;
+            prev_delta = delta;
+            let bits = values[i].to_bits();
+            let xor = bits ^ prev_bits;
+            prev_bits = bits;
+            if xor == 0 {
+                w.push_bit(false);
+                continue;
+            }
+            w.push_bit(true);
+            let leading = xor.leading_zeros().min(31);
+            let trailing = xor.trailing_zeros();
+            if prev_leading <= leading && prev_trailing <= trailing {
+                w.push_bit(false);
+                let len = 64 - prev_leading - prev_trailing;
+                w.push_bits(xor >> prev_trailing, len as u8);
+            } else {
+                w.push_bit(true);
+                let len = 64 - leading - trailing;
+                w.push_bits(leading as u64, 5);
+                w.push_bits((len - 1) as u64, 6);
+                w.push_bits(xor >> trailing, len as u8);
+                prev_leading = leading;
+                prev_trailing = trailing;
+            }
+        }
+        w.bytes
+    }
+
+    /// A column shape from raw generator words: `mode` picks regular,
+    /// jittered or ulp-stepped times and constant, quantized, special or
+    /// raw-bit values.
+    fn column(bits: &[u64], mode: u8) -> (Vec<f64>, Vec<f64>) {
+        const SPECIAL: [f64; 6] = [0.0, -0.0, 5e-324, -2.2e-308, 1e300, -1e300];
+        let mut t = 1000.0f64;
+        let mut times = Vec::with_capacity(bits.len());
+        let mut values = Vec::with_capacity(bits.len());
+        for (i, &b) in bits.iter().enumerate() {
+            times.push(t);
+            t = match mode % 3 {
+                0 => t + 1.0,
+                1 => t + ((b >> 32) % 1000) as f64 / 10.0,
+                _ => f64::from_bits(t.to_bits() + (b >> 48) % 5000),
+            };
+            values.push(match (mode / 3) % 4 {
+                0 => 21.5,
+                1 => 18.0 + (i / 8 + (b % 3) as usize) as f64 / 10.0,
+                2 => SPECIAL[(b % 6) as usize],
+                _ => f64::from_bits(b),
+            });
+        }
+        (times, values)
+    }
+
+    #[test]
+    fn word_writer_matches_bit_at_a_time_reference() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for _ in 0..300 {
+            let mut word = BitWriter::new();
+            let mut reference = BitByBit::default();
+            for _ in 0..(next() % 200) {
+                // Widths 0 and 64 and every width between; values carry
+                // junk above the width, which must not be written.
+                let n = match next() % 4 {
+                    0 => [0, 1, 63, 64][(next() % 4) as usize],
+                    _ => (next() % 65) as u8,
+                };
+                let v = next();
+                word.push_bits(v, n);
+                reference.push_bits(v, n);
+                assert_eq!(word.bit_len(), reference.bit_len());
+            }
+            assert_eq!(word.into_bytes(), reference.bytes);
+        }
+        let mut word = BitWriter::new();
+        let mut reference = BitByBit::default();
+        for bit in [true, false, true, true] {
+            word.push_bit(bit);
+            reference.push_bit(bit);
+        }
+        assert_eq!(word.into_bytes(), reference.bytes);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `compress` writes the reference's bytes for every column
+        /// shape, and every cut of its block decodes to an error.
+        #[test]
+        fn compress_matches_bit_at_a_time_reference(
+            bits in proptest::collection::vec(0u64..=u64::MAX, 0..120),
+            mode in 0u8..12,
+        ) {
+            let (times, values) = column(&bits, mode);
+            let block = compress(&times, &values);
+            prop_assert_eq!(&block, &compress_bit_by_bit(&times, &values));
+            for cut in 0..block.len() {
+                prop_assert!(decompress(&block[..cut]).is_err(), "cut {} decoded", cut);
+            }
+        }
+    }
 
     fn roundtrip(times: &[f64], values: &[f64]) {
         let block = compress(times, values);

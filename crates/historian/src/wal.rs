@@ -36,9 +36,12 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-/// CRC32 (IEEE) lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE) slice-by-16 tables, built at compile time.
+/// `CRC_TABLES[k][b]` folds byte `b` at offset `k` of a 16-byte chunk,
+/// that is, followed by `15 - k` more bytes; `CRC_TABLES[15]` is the
+/// bytewise table.
+const CRC_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -51,17 +54,42 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[15][i] = c;
         i += 1;
     }
-    table
+    // One more zero byte after `b`: shift the CRC one byte through the
+    // bytewise table.
+    let mut k = 15;
+    while k > 0 {
+        let mut i = 0;
+        while i < 256 {
+            let c = tables[k][i];
+            tables[k - 1][i] = (c >> 8) ^ tables[15][(c & 0xFF) as usize];
+            i += 1;
+        }
+        k -= 1;
+    }
+    tables
 };
 
-/// CRC32 (IEEE 802.3) of `bytes`.
+/// CRC32 (IEEE 802.3) of `bytes`: sixteen bytes per step through the
+/// slice-by-16 tables, then the tail bytewise. The value is the plain
+/// bytewise CRC's, so frames written by either verify under the other.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let (chunks, tail) = bytes.as_chunks::<16>();
+    for chunk in chunks {
+        let mut ch = *chunk;
+        for (b, cb) in ch.iter_mut().zip(c.to_le_bytes()) {
+            *b ^= cb;
+        }
+        c = ch
+            .iter()
+            .zip(&CRC_TABLES)
+            .fold(0, |acc, (&b, table)| acc ^ table[b as usize]);
+    }
+    for &b in tail {
+        c = CRC_TABLES[15][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -113,25 +141,6 @@ pub enum WalRecord {
 }
 
 impl WalRecord {
-    /// Serializes the record payload (the part the CRC covers).
-    fn encode(&self) -> Vec<u8> {
-        match self {
-            WalRecord::Samples { series, samples } => {
-                let name = series.as_bytes();
-                let mut out = Vec::with_capacity(7 + name.len() + samples.len() * 16);
-                out.push(1u8);
-                out.extend_from_slice(&(name.len() as u16).to_le_bytes());
-                out.extend_from_slice(name);
-                out.extend_from_slice(&(samples.len() as u32).to_le_bytes());
-                for (t, v) in samples {
-                    out.extend_from_slice(&t.to_le_bytes());
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-                out
-            }
-        }
-    }
-
     /// Decodes a payload that has already passed the frame CRC check.
     /// Only [`read_frame`] may call this — corrupt-but-CRC-valid input
     /// still gets typed errors, never a panic.
@@ -338,6 +347,8 @@ pub struct WalWriter {
     seq: u64,
     segment_len: u64,
     records_since_sync: u32,
+    /// The frame being encoded, reused across appends.
+    frame: Vec<u8>,
 }
 
 impl WalWriter {
@@ -356,23 +367,38 @@ impl WalWriter {
             seq: next_seq,
             segment_len: 0,
             records_since_sync: 0,
+            frame: Vec::new(),
         })
     }
 
-    /// Appends one record (frame = length, CRC, payload).
-    pub fn append(&mut self, record: &WalRecord) -> Result<(), HistorianError> {
-        let payload = record.encode();
-        let frame_len = 8 + payload.len() as u64;
+    /// Appends one [`WalRecord::Samples`] frame (length, CRC, payload)
+    /// for `series`, encoded straight from the borrowed run into the
+    /// writer's frame buffer and written in one piece.
+    pub fn append(&mut self, series: &str, samples: &[(f64, f64)]) -> Result<(), HistorianError> {
+        let name = series.as_bytes();
+        let frame = &mut self.frame;
+        frame.clear();
+        frame.reserve(8 + 7 + name.len() + samples.len() * 16);
+        // Length and CRC go in once the payload is known.
+        frame.extend_from_slice(&[0; 8]);
+        frame.push(1u8);
+        frame.extend_from_slice(&(name.len() as u16).to_le_bytes());
+        frame.extend_from_slice(name);
+        frame.extend_from_slice(&(samples.len() as u32).to_le_bytes());
+        for (t, v) in samples {
+            frame.extend_from_slice(&t.to_le_bytes());
+            frame.extend_from_slice(&v.to_le_bytes());
+        }
+        let (head, payload) = frame.split_at_mut(8);
+        head[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        head[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+        let frame_len = frame.len() as u64;
         if self.segment_len > 0 && self.segment_len + frame_len > self.cfg.segment_bytes {
             self.rotate()?;
         }
         self.out
-            .write_all(&(payload.len() as u32).to_le_bytes())
+            .write_all(&self.frame)
             .map_err(HistorianError::Io)?;
-        self.out
-            .write_all(&crc32(&payload).to_le_bytes())
-            .map_err(HistorianError::Io)?;
-        self.out.write_all(&payload).map_err(HistorianError::Io)?;
         self.segment_len += frame_len;
         self.records_since_sync += 1;
         tesla_obs::counter!("historian_wal_records_total").inc();
@@ -459,11 +485,8 @@ mod tests {
         dir
     }
 
-    fn sample_record(series: &str, n: usize) -> WalRecord {
-        WalRecord::Samples {
-            series: series.to_string(),
-            samples: (0..n).map(|i| (i as f64 * 60.0, 20.0 + i as f64)).collect(),
-        }
+    fn samples(n: usize) -> Vec<(f64, f64)> {
+        (0..n).map(|i| (i as f64 * 60.0, 20.0 + i as f64)).collect()
     }
 
     #[test]
@@ -473,12 +496,63 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// A bytewise table CRC: the reference `crc32` must agree with on
+    /// every input.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let table: Vec<u32> = (0..256u32)
+            .map(|i| {
+                (0..8).fold(i, |c, _| {
+                    if c & 1 == 1 {
+                        0xEDB8_8320 ^ (c >> 1)
+                    } else {
+                        c >> 1
+                    }
+                })
+            })
+            .collect();
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_reference() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+        let buf: Vec<u8> = (0..301).map(|_| next() as u8).collect();
+        for len in 0..=300 {
+            let s = &buf[..len];
+            assert_eq!(crc32(s), crc32_bytewise(s), "length {len}");
+        }
+        // Random buffers at random offsets, so chunks start unaligned.
+        for _ in 0..100 {
+            let len = (next() % 5000) as usize;
+            let skip = (next() % 16) as usize;
+            let buf: Vec<u8> = (0..skip + len).map(|_| next() as u8).collect();
+            let s = &buf[skip..];
+            assert_eq!(crc32(s), crc32_bytewise(s), "length {len} at offset {skip}");
+        }
+        let zeros = [0u8; 64];
+        let ones = [0xFFu8; 64];
+        for s in [&zeros[..], &ones[..]] {
+            assert_eq!(crc32(s), crc32_bytewise(s));
+        }
+    }
+
     #[test]
     fn append_and_recover_roundtrip() {
         let dir = tmp_dir("roundtrip");
         let mut w = WalWriter::open(WalConfig::new(&dir), 0).unwrap();
         for i in 0..10 {
-            w.append(&sample_record(&format!("m{i}"), 3)).unwrap();
+            w.append(&format!("m{i}"), &samples(3)).unwrap();
         }
         w.sync().unwrap();
         drop(w);
@@ -487,7 +561,13 @@ mod tests {
         assert_eq!(stats.records, 10);
         assert_eq!(stats.samples, 30);
         assert_eq!(stats.truncated_bytes, 0);
-        assert_eq!(seen[4], sample_record("m4", 3));
+        assert_eq!(
+            seen[4],
+            WalRecord::Samples {
+                series: "m4".into(),
+                samples: samples(3),
+            }
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -500,7 +580,7 @@ mod tests {
         };
         let mut w = WalWriter::open(cfg, 0).unwrap();
         for _ in 0..50 {
-            w.append(&sample_record("m", 4)).unwrap();
+            w.append("m", &samples(4)).unwrap();
         }
         w.sync().unwrap();
         assert!(w.seq() > 0, "segments must have rotated");
@@ -519,7 +599,7 @@ mod tests {
         let dir = tmp_dir("torn");
         let mut w = WalWriter::open(WalConfig::new(&dir), 0).unwrap();
         for i in 0..8 {
-            w.append(&sample_record(&format!("m{i}"), 2)).unwrap();
+            w.append(&format!("m{i}"), &samples(2)).unwrap();
         }
         w.sync().unwrap();
         drop(w);
@@ -546,7 +626,7 @@ mod tests {
         let dir = tmp_dir("bitflip");
         let mut w = WalWriter::open(WalConfig::new(&dir), 0).unwrap();
         for i in 0..4 {
-            w.append(&sample_record(&format!("m{i}"), 2)).unwrap();
+            w.append(&format!("m{i}"), &samples(2)).unwrap();
         }
         w.sync().unwrap();
         drop(w);

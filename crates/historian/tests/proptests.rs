@@ -109,8 +109,8 @@ proptest! {
         // One big segment so the cut point is easy to reason about.
         let cfg = WalConfig { segment_bytes: u64::MAX, ..WalConfig::new(&dir) };
         let mut w = WalWriter::open(cfg, 0).unwrap();
-        for r in &records {
-            w.append(r).unwrap();
+        for WalRecord::Samples { series, samples } in &records {
+            w.append(series, samples).unwrap();
         }
         w.sync().unwrap();
         drop(w);

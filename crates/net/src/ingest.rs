@@ -5,9 +5,15 @@
 //! connection on that shard). The [`IngestQueue`] decouples them:
 //! handlers [`push`](IngestQueue::push) parsed batches without ever
 //! waiting — when the queue is full the *oldest* queued batches are
-//! dropped to make room — and dedicated writer threads drain batches
+//! dropped to make room — and a dedicated writer thread drains batches
 //! into `MetricStore::insert_runs`, which is where WAL latency is
 //! allowed to live.
+//!
+//! There is exactly one writer, and it drains the queue in push order,
+//! so the batches of a series are stored in the order they were acked.
+//! A second writer could store a later batch of a series before an
+//! earlier one, and the historian would then drop the earlier, acked
+//! samples as out of order.
 //!
 //! Drop-oldest (rather than reject-newest) is deliberate and matches
 //! the telemetry queue in `tesla-core`'s runtime: under sustained
@@ -111,7 +117,7 @@ impl IngestQueue {
         }
     }
 
-    /// Blocks until a batch is available (writer threads only — never
+    /// Blocks until a batch is available (the writer thread only — never
     /// call from a reactor thread). Returns `None` once the queue is
     /// closed *and* drained.
     pub fn pop(&self) -> Option<Batch> {
@@ -125,8 +131,8 @@ impl IngestQueue {
             if q.closed {
                 return None;
             }
-            // Pop runs only on the dedicated `net-writer-*` threads, never
-            // on a reactor shard.
+            // Pop runs only on the dedicated `net-ingest-writer` thread,
+            // never on a reactor shard.
             // lint:allow(no-blocking-io-in-reactor): writer-thread condvar wait
             q = match self.ready.wait(q) {
                 Ok(g) => g,
@@ -144,8 +150,8 @@ impl IngestQueue {
         Some(batch)
     }
 
-    /// Marks the queue closed; blocked `pop`s return `None` once
-    /// drained, and writers exit.
+    /// Marks the queue closed; a blocked `pop` returns `None` once
+    /// drained, and the writer exits.
     pub fn close(&self) {
         self.lock().closed = true;
         self.ready.notify_all();
@@ -167,48 +173,41 @@ impl IngestQueue {
     }
 }
 
-/// Writer threads draining an [`IngestQueue`] into a [`MetricStore`].
+/// The writer thread draining an [`IngestQueue`] into a [`MetricStore`].
 #[derive(Debug)]
 pub struct IngestPipeline {
     queue: Arc<IngestQueue>,
-    writers: Vec<thread::JoinHandle<()>>,
+    writer: thread::JoinHandle<()>,
     written_total: Arc<AtomicU64>,
 }
 
 impl IngestPipeline {
-    /// Spawns `writer_threads` writers draining `queue` into `store`
-    /// via `insert_runs`.
+    /// Spawns the one writer draining `queue` into `store` via
+    /// `insert_runs`, in push order (see the [module docs](self)).
     ///
-    /// Named `spawn_writers` rather than `spawn` so the name-based call
+    /// Named `spawn_writer` rather than `spawn` so the name-based call
     /// graph in tesla-analysis does not alias it with
     /// `std::thread`/scope `spawn` call sites.
-    pub fn spawn_writers(
-        queue: Arc<IngestQueue>,
-        store: Arc<dyn MetricStore>,
-        writer_threads: usize,
-    ) -> Self {
+    pub fn spawn_writer(queue: Arc<IngestQueue>, store: Arc<dyn MetricStore>) -> Self {
         let written_total = Arc::new(AtomicU64::new(0));
-        let writers = (0..writer_threads.max(1))
-            .map(|i| {
-                let queue = Arc::clone(&queue);
-                let store = Arc::clone(&store);
-                let written = Arc::clone(&written_total);
-                thread::Builder::new()
-                    .name(format!("net-ingest-writer-{i}"))
-                    .spawn(move || {
-                        while let Some(batch) = queue.pop() {
-                            store.insert_runs(&batch.runs);
-                            written.fetch_add(batch.samples as u64, Ordering::Relaxed);
-                            tesla_obs::gauge!("tesla_net_ingest_queue_depth_samples")
-                                .set(queue.depth_samples() as f64);
-                        }
-                    })
-                    .expect("spawn ingest writer")
-            })
-            .collect();
+        let writer = {
+            let queue = Arc::clone(&queue);
+            let written = Arc::clone(&written_total);
+            thread::Builder::new()
+                .name("net-ingest-writer".into())
+                .spawn(move || {
+                    while let Some(batch) = queue.pop() {
+                        store.insert_runs(&batch.runs);
+                        written.fetch_add(batch.samples as u64, Ordering::Relaxed);
+                        tesla_obs::gauge!("tesla_net_ingest_queue_depth_samples")
+                            .set(queue.depth_samples() as f64);
+                    }
+                })
+                .expect("spawn ingest writer")
+        };
         IngestPipeline {
             queue,
-            writers,
+            writer,
             written_total,
         }
     }
@@ -218,14 +217,12 @@ impl IngestPipeline {
         self.written_total.load(Ordering::Relaxed)
     }
 
-    /// Closes the queue and joins the writers (drains what is queued).
-    pub fn shutdown(mut self) {
+    /// Closes the queue and joins the writer (drains what is queued).
+    pub fn shutdown(self) {
         self.queue.close();
-        for w in self.writers.drain(..) {
-            // Shutdown runs on the caller's thread and joins `net-writer-*`.
-            // lint:allow(no-blocking-io-in-reactor): caller-thread shutdown join
-            let _ = w.join();
-        }
+        // Shutdown runs on the caller's thread and joins `net-ingest-writer`.
+        // lint:allow(no-blocking-io-in-reactor): caller-thread shutdown join
+        let _ = self.writer.join();
     }
 }
 
@@ -309,10 +306,9 @@ mod tests {
             tesla_historian::HistorianConfig::default(),
         ));
         let q = Arc::new(IngestQueue::new(1 << 20));
-        let pipeline = IngestPipeline::spawn_writers(
+        let pipeline = IngestPipeline::spawn_writer(
             Arc::clone(&q),
             Arc::clone(&store) as Arc<dyn MetricStore>,
-            2,
         );
         for i in 0..100 {
             q.push(batch("m", 10, i as f64 * 10.0));

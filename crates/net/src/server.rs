@@ -9,7 +9,7 @@
 //!                                   IngestQueue     MetricStore reads /
 //!                                 (drop-oldest)     StatusBoard snapshot
 //!                                         │
-//!                                writer threads ──► MetricStore::insert_runs
+//!                                 writer thread ──► MetricStore::insert_runs
 //!                                                   (WAL-backed historian)
 //! ```
 //!
@@ -46,7 +46,10 @@ pub struct NetConfig {
     pub max_query_samples: usize,
     /// Ingest queue bound, samples (drop-oldest beyond it).
     pub ingest_capacity_samples: usize,
-    /// Threads draining the ingest queue into the store.
+    /// Threads draining the ingest queue into the store. Always 1: one
+    /// writer stores each series' batches in push order (see
+    /// [`crate::ingest`]), and binding with any other value fails with
+    /// [`io::ErrorKind::InvalidInput`].
     pub writer_threads: usize,
 }
 
@@ -235,12 +238,14 @@ impl NetServer {
         store: Arc<dyn MetricStore>,
         registry: Arc<ZoneStatusRegistry>,
     ) -> io::Result<NetServer> {
+        if cfg.writer_threads != 1 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "NetConfig::writer_threads must be 1: one writer keeps each series in push order",
+            ));
+        }
         let queue = Arc::new(IngestQueue::new(cfg.ingest_capacity_samples));
-        let pipeline = IngestPipeline::spawn_writers(
-            Arc::clone(&queue),
-            Arc::clone(&store),
-            cfg.writer_threads,
-        );
+        let pipeline = IngestPipeline::spawn_writer(Arc::clone(&queue), Arc::clone(&store));
         let max_batch = cfg.max_batch_samples;
         let max_query = cfg.max_query_samples;
         let factory_queue = Arc::clone(&queue);
@@ -283,7 +288,7 @@ impl NetServer {
         &self.queue
     }
 
-    /// Samples the writer threads have committed to the store so far.
+    /// Samples the writer thread has committed to the store so far.
     pub fn written_samples(&self) -> u64 {
         self.pipeline.as_ref().map_or(0, |p| p.written_samples())
     }

@@ -284,3 +284,22 @@ fn drop_oldest_backpressure_is_visible_in_acks() {
     let _ = server.queue().dropped_samples();
     server.stop();
 }
+
+#[test]
+fn more_than_one_writer_is_refused() {
+    // Two writers could store a later batch of a series before an
+    // earlier, acked one; the server runs exactly one.
+    let cfg = NetConfig {
+        writer_threads: 2,
+        ..NetConfig::default()
+    };
+    let err = NetServer::bind(
+        "127.0.0.1:0",
+        cfg,
+        Arc::new(Historian::in_memory(HistorianConfig::default())) as Arc<dyn MetricStore>,
+        Arc::new(StatusBoard::new()),
+    )
+    .err()
+    .expect("two writers are refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+}

@@ -334,11 +334,16 @@ impl Historian {
     ///
     /// Non-finite times/values are dropped (the Gorilla writer excludes
     /// NaN/±inf by contract) and out-of-order times are dropped to keep
-    /// the time column sorted for binary search.
+    /// the time column sorted for binary search. A series name longer
+    /// than [`wal::MAX_SERIES_NAME_BYTES`] is refused whole, WAL or not,
+    /// so memory and replay agree.
     // lint:allow(lock-order): the WAL write happens under the shard
     // lock on purpose — it is what serializes WAL order with in-memory
     // apply order, the invariant replay correctness depends on.
     pub fn append_batch(&self, metric: &str, samples: &[(f64, f64)]) {
+        if !Self::name_fits(metric, samples) {
+            return;
+        }
         let mut shard = self.lock_shard(metric);
         if let Some(wal) = shard.wal.as_mut() {
             if let Err(e) = wal.append(metric, samples) {
@@ -354,7 +359,8 @@ impl Historian {
     /// Runs are grouped by shard so each touched shard is locked once
     /// per call (instead of once per run), which is what keeps WAL
     /// framing and lock traffic amortized when one network batch
-    /// carries many small per-metric runs.
+    /// carries many small per-metric runs. A run whose series name is
+    /// too long to frame is refused as in [`Historian::append_batch`].
     // lint:allow(lock-order): same single-shard-lock discipline as
     // `append_batch`; the WAL write stays under the shard lock so WAL
     // order equals apply order.
@@ -367,6 +373,7 @@ impl Historian {
         let mut order: Vec<(usize, usize)> = runs
             .iter()
             .enumerate()
+            .filter(|(_, (metric, samples))| Self::name_fits(metric, samples))
             .map(|(i, (metric, _))| (shard_index(metric, self.shards.len()), i))
             .collect();
         order.sort_unstable();
@@ -388,6 +395,16 @@ impl Historian {
         }
     }
 
+    /// Whether `metric` is short enough for a WAL frame (its length is
+    /// a `u16`). A longer name's samples are counted as dropped.
+    fn name_fits(metric: &str, samples: &[(f64, f64)]) -> bool {
+        if metric.len() <= wal::MAX_SERIES_NAME_BYTES {
+            return true;
+        }
+        tesla_obs::counter!("historian_long_name_dropped_total").add(samples.len() as u64);
+        false
+    }
+
     /// Applies a batch to in-memory state (shared by ingest and WAL
     /// replay; the caller holds the shard lock). A known series is
     /// looked up once; a new one is inserted first.
@@ -401,24 +418,55 @@ impl Historian {
     }
 
     /// [`Historian::apply_batch`] once the series is found.
+    ///
+    /// A sample is kept when its time and value are finite and its time
+    /// is not older than the series' newest; the rest are counted and
+    /// dropped. Kept samples append in bulk: each step extends the
+    /// active block by the longest clean prefix that fits its room,
+    /// seals (and applies retention) when the block is full, and skips
+    /// the one sample that ended the prefix early, so blocks, seals and
+    /// counters come out as one sample at a time would make them.
     fn apply_to_series(series: &mut Series, cfg: &HistorianConfig, samples: &[(f64, f64)]) {
+        // A `block_len` of 0 seals after every sample, as 1 does.
+        let block_len = cfg.block_len.max(1);
         let mut accepted = 0u64;
-        for &(t, v) in samples {
-            if !t.is_finite() || !v.is_finite() {
-                tesla_obs::counter!("historian_nonfinite_dropped_total").inc();
-                continue;
+        let mut rest = samples;
+        while !rest.is_empty() {
+            let room = block_len.saturating_sub(series.active_times.len()).max(1);
+            let mut newest = series.newest_time();
+            let clean = rest
+                .iter()
+                .take(room)
+                .take_while(|&&(t, v)| {
+                    let keep =
+                        t.is_finite() && v.is_finite() && !newest.is_some_and(|last| t < last);
+                    if keep {
+                        newest = Some(t);
+                    }
+                    keep
+                })
+                .count();
+            let (run, tail) = rest.split_at(clean);
+            rest = tail;
+            if !run.is_empty() {
+                series.active_times.extend(run.iter().map(|&(t, _)| t));
+                series.active_values.extend(run.iter().map(|&(_, v)| v));
+                accepted += run.len() as u64;
+                if series.active_times.len() >= cfg.block_len {
+                    Self::seal_active(series);
+                    if let Some(policy) = cfg.retention {
+                        Self::enforce_retention(series, policy);
+                    }
+                }
             }
-            if series.newest_time().is_some_and(|last| t < last) {
-                tesla_obs::counter!("historian_out_of_order_dropped_total").inc();
-                continue;
-            }
-            series.active_times.push(t);
-            series.active_values.push(v);
-            accepted += 1;
-            if series.active_times.len() >= cfg.block_len {
-                Self::seal_active(series);
-                if let Some(policy) = cfg.retention {
-                    Self::enforce_retention(series, policy);
+            if clean < room {
+                if let Some((&(t, v), tail)) = rest.split_first() {
+                    if !t.is_finite() || !v.is_finite() {
+                        tesla_obs::counter!("historian_nonfinite_dropped_total").inc();
+                    } else {
+                        tesla_obs::counter!("historian_out_of_order_dropped_total").inc();
+                    }
+                    rest = tail;
                 }
             }
         }
@@ -816,6 +864,128 @@ mod tests {
             ],
         );
         assert_eq!(h.values("m"), vec![1.0, 4.0]);
+    }
+
+    #[test]
+    fn overlong_series_name_is_refused_and_the_store_reopens() {
+        let dir = tmp_dir("long_name");
+        let cfg = small_cfg();
+        let long = "x".repeat(70_000);
+        let normal: Vec<(f64, f64)> = (0..100).map(|i| (i as f64, i as f64 * 0.5)).collect();
+        tesla_obs::set_enabled(true);
+        let refused = || tesla_obs::counter!("historian_long_name_dropped_total").get();
+        let refused_before = refused();
+        let in_memory = {
+            let (h, _) = Historian::open(&dir, cfg.clone()).unwrap();
+            h.insert(&long, 0.0, 1.0);
+            h.append_runs(&[(long.clone(), vec![(1.0, 2.0), (2.0, 3.0)])]);
+            h.append_batch("rack.inlet", &normal);
+            h.flush().unwrap();
+            h.len(&long)
+        };
+        // Reopening replays every shard's WAL, the long name's included.
+        let (h, stats) = Historian::open(&dir, cfg).unwrap();
+        assert_eq!(in_memory, 0, "refused before memory sees it");
+        assert_eq!(refused() - refused_before, 3);
+        assert_eq!(stats.samples, 100);
+        assert_eq!(h.metric_names(), vec!["rack.inlet".to_string()]);
+        let (times, values) = h.series_samples("rack.inlet").unwrap();
+        assert_eq!(times, normal.iter().map(|s| s.0).collect::<Vec<_>>());
+        assert_eq!(values, normal.iter().map(|s| s.1).collect::<Vec<_>>());
+        assert_eq!(h.len(&long), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The per-sample ingest `apply_to_series` must equal: one sample at
+    /// a time, each filtered, appended and sealed on its own.
+    fn apply_one_at_a_time(series: &mut Series, cfg: &HistorianConfig, samples: &[(f64, f64)]) {
+        for &(t, v) in samples {
+            if !t.is_finite() || !v.is_finite() {
+                continue;
+            }
+            if series.newest_time().is_some_and(|last| t < last) {
+                continue;
+            }
+            series.active_times.push(t);
+            series.active_values.push(v);
+            if series.active_times.len() >= cfg.block_len {
+                Historian::seal_active(series);
+                if let Some(policy) = cfg.retention {
+                    Historian::enforce_retention(series, policy);
+                }
+            }
+        }
+    }
+
+    fn series_parts(s: &Series) -> String {
+        let sealed: Vec<_> = s
+            .sealed
+            .iter()
+            .map(|b| (b.first_t, b.last_t, b.count, b.bytes.clone()))
+            .collect();
+        format!(
+            "{:?} {:?} {:?} {sealed:?} {:?} {:?}",
+            s.down_times, s.down_values, s.agg, s.active_times, s.active_values
+        )
+    }
+
+    #[test]
+    fn bulk_apply_matches_one_sample_at_a_time() {
+        let mut x = 0x0BAD_5EED_1234_5678_u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for block_len in [0, 1, 2, 3, 8, 64] {
+            for retention in [
+                None,
+                Some(RetentionPolicy {
+                    raw_horizon_s: 20.0,
+                    downsample_horizon_s: 200.0,
+                    bucket_s: 6.0,
+                }),
+                // A negative raw horizon ages out even the newest
+                // sealed block, so the newest time falls after a seal.
+                Some(RetentionPolicy {
+                    raw_horizon_s: -5.0,
+                    downsample_horizon_s: 50.0,
+                    bucket_s: 4.0,
+                }),
+            ] {
+                let cfg = HistorianConfig {
+                    shards: 1,
+                    block_len,
+                    retention,
+                    ..HistorianConfig::default()
+                };
+                let (mut bulk, mut single) = (Series::default(), Series::default());
+                let mut t = 0.0;
+                for _ in 0..60 {
+                    let batch: Vec<(f64, f64)> = (0..next() % 40)
+                        .map(|_| {
+                            let r = next();
+                            t += [1.0, 1.0, 0.5, 0.0, -3.0, 2.5][(r % 6) as usize];
+                            let time = if r % 29 == 0 { f64::NAN } else { t };
+                            let value = match (r >> 8) % 23 {
+                                0 => f64::INFINITY,
+                                1 => f64::NAN,
+                                k => k as f64 * 0.25,
+                            };
+                            (time, value)
+                        })
+                        .collect();
+                    Historian::apply_to_series(&mut bulk, &cfg, &batch);
+                    apply_one_at_a_time(&mut single, &cfg, &batch);
+                    assert_eq!(
+                        series_parts(&bulk),
+                        series_parts(&single),
+                        "block_len {block_len}, retention {retention:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -184,6 +184,10 @@ impl WalRecord {
     }
 }
 
+/// Longest series name a `Samples` frame can hold: the name's length
+/// is framed as a `u16`.
+pub const MAX_SERIES_NAME_BYTES: usize = u16::MAX as usize;
+
 fn segment_path(dir: &Path, seq: u64) -> PathBuf {
     dir.join(format!("wal-{seq:08}.log"))
 }
@@ -373,21 +377,34 @@ impl WalWriter {
 
     /// Appends one [`WalRecord::Samples`] frame (length, CRC, payload)
     /// for `series`, encoded straight from the borrowed run into the
-    /// writer's frame buffer and written in one piece.
+    /// writer's frame buffer and written in one piece. A name longer
+    /// than [`MAX_SERIES_NAME_BYTES`] is refused with `InvalidInput`
+    /// and writes nothing.
     pub fn append(&mut self, series: &str, samples: &[(f64, f64)]) -> Result<(), HistorianError> {
         let name = series.as_bytes();
+        let name_len = u16::try_from(name.len()).map_err(|_| {
+            HistorianError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "series name too long for a WAL frame",
+            ))
+        })?;
         let frame = &mut self.frame;
         frame.clear();
-        frame.reserve(8 + 7 + name.len() + samples.len() * 16);
         // Length and CRC go in once the payload is known.
         frame.extend_from_slice(&[0; 8]);
         frame.push(1u8);
-        frame.extend_from_slice(&(name.len() as u16).to_le_bytes());
+        frame.extend_from_slice(&name_len.to_le_bytes());
         frame.extend_from_slice(name);
         frame.extend_from_slice(&(samples.len() as u32).to_le_bytes());
-        for (t, v) in samples {
-            frame.extend_from_slice(&t.to_le_bytes());
-            frame.extend_from_slice(&v.to_le_bytes());
+        // The samples fill a payload sized once, 16 bytes each.
+        let header_len = frame.len();
+        frame.resize(header_len + samples.len() * 16, 0);
+        let (_, body) = frame.split_at_mut(header_len);
+        let (chunks, _) = body.as_chunks_mut::<16>();
+        for (chunk, (t, v)) in chunks.iter_mut().zip(samples) {
+            let (tb, vb) = chunk.split_at_mut(8);
+            tb.copy_from_slice(&t.to_le_bytes());
+            vb.copy_from_slice(&v.to_le_bytes());
         }
         let (head, payload) = frame.split_at_mut(8);
         head[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -639,6 +656,28 @@ mod tests {
         let stats = recover(&dir, |_| {}).unwrap();
         assert_eq!(stats.records, 3);
         assert!(stats.truncated_bytes > 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn overlong_name_is_refused_and_writes_nothing() {
+        let dir = tmp_dir("long_name");
+        let mut w = WalWriter::open(WalConfig::new(&dir), 0).unwrap();
+        let long = "x".repeat(MAX_SERIES_NAME_BYTES + 1);
+        assert!(w.append(&long, &samples(1)).is_err());
+        w.append(&"y".repeat(MAX_SERIES_NAME_BYTES), &samples(2))
+            .unwrap();
+        w.sync().unwrap();
+        drop(w);
+        let mut seen = Vec::new();
+        let stats = recover(&dir, |r| seen.push(r)).unwrap();
+        assert_eq!(stats.records, 1);
+        let WalRecord::Samples {
+            series,
+            samples: got,
+        } = &seen[0];
+        assert_eq!(series.len(), MAX_SERIES_NAME_BYTES);
+        assert_eq!(got, &samples(2));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -15,6 +15,8 @@
 //! which the stream can no longer be trusted and must close — the
 //! distinction every framing decision in `docs/SERVICE.md` hangs off.
 
+use std::io::Write as _;
+
 use tesla_units::ZoneId;
 
 /// Protocol version this build speaks (the `HELLO tlp/<n>` token).
@@ -262,8 +264,8 @@ impl Parser {
                 if !valid_metric(metric) {
                     return Err(ProtocolError::MalformedSample);
                 }
-                let t = parse_finite(t).ok_or(ProtocolError::MalformedSample)?;
-                let v = parse_finite(v).ok_or(ProtocolError::MalformedSample)?;
+                let t = parse_finite(t.as_bytes()).ok_or(ProtocolError::MalformedSample)?;
+                let v = parse_finite(v.as_bytes()).ok_or(ProtocolError::MalformedSample)?;
                 match runs.last_mut() {
                     Some((m, run)) if m == metric => run.push((t, v)),
                     _ => runs.push((metric.to_string(), vec![(t, v)])),
@@ -287,12 +289,11 @@ impl Parser {
                 dt,
                 samples,
             } => {
-                let line = std::str::from_utf8(line).map_err(|_| ProtocolError::MalformedSample)?;
-                for tok in line.split_ascii_whitespace() {
+                for value in Numbers::new(line) {
                     if *remaining == 0 {
                         return Err(ProtocolError::MalformedSample); // extra values
                     }
-                    let v = parse_finite(tok).ok_or(ProtocolError::MalformedSample)?;
+                    let v = value.ok_or(ProtocolError::MalformedSample)?;
                     samples.push((*t_next, v));
                     *t_next += *dt;
                     *remaining -= 1;
@@ -374,8 +375,8 @@ impl Parser {
                 if n > self.max_batch_samples {
                     return Err(ProtocolError::BatchTooLarge);
                 }
-                let t0 = parse_finite(t0).ok_or(ProtocolError::BadArgument)?;
-                let dt = parse_finite(dt).ok_or(ProtocolError::BadArgument)?;
+                let t0 = parse_finite(t0.as_bytes()).ok_or(ProtocolError::BadArgument)?;
+                let dt = parse_finite(dt.as_bytes()).ok_or(ProtocolError::BadArgument)?;
                 if dt < 0.0 {
                     return Err(ProtocolError::BadArgument);
                 }
@@ -415,8 +416,8 @@ impl Parser {
                         let (Some(t0), Some(t1), None) = (it.next(), it.next(), it.next()) else {
                             return Err(ProtocolError::BadArgument);
                         };
-                        let t0 = parse_finite(t0).ok_or(ProtocolError::BadArgument)?;
-                        let t1 = parse_finite(t1).ok_or(ProtocolError::BadArgument)?;
+                        let t0 = parse_finite(t0.as_bytes()).ok_or(ProtocolError::BadArgument)?;
+                        let t1 = parse_finite(t1.as_bytes()).ok_or(ProtocolError::BadArgument)?;
                         Query::Range(metric.to_string(), t0, t1)
                     }
                     _ => return Err(ProtocolError::BadArgument),
@@ -457,57 +458,190 @@ fn parse_zone_arg(
     }
 }
 
-/// Parses a finite `f64` (rejects NaN/±inf, which have no place on
-/// this wire).
-fn parse_finite(s: &str) -> Option<f64> {
-    match s.parse::<f64>() {
-        Ok(v) if v.is_finite() => Some(v),
+/// `10^k` for every `k` whose power of ten is an exact `f64`.
+const EXACT_POW10: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
+
+/// Largest mantissa of the exact fast path: every integer up to `2^53`
+/// is an exact `f64`.
+const EXACT_MANTISSA_MAX: u64 = 1 << 53;
+
+/// Most significant digits the fast path accumulates (`10^19 < 2^64`).
+const FAST_DIGITS_MAX: usize = 19;
+
+/// Converts the token that starts at `line[start]` (everything up to
+/// the next ASCII whitespace byte) and returns its value and the index
+/// just past it. The value is `Some` exactly when `str::parse::<f64>`
+/// accepts the token and returns a finite number (NaN/±inf have no
+/// place on this wire), and then it has the same bits.
+///
+/// A token of the form `[+-]?digits[.digits]` with at least one digit,
+/// at most 19 significant digits, mantissa `m <= 2^53` and `k <= 22`
+/// fraction digits is converted as it is scanned, as `m / 10^k`: both
+/// operands are exact, so the one correctly rounded division is the
+/// correctly rounded decimal (Clinger's fast path). Every other token
+/// goes through `str::parse`.
+fn scan_number(line: &[u8], start: usize) -> (Option<f64>, usize) {
+    let mut i = start;
+    let negative = match line.get(i) {
+        Some(b'-') => {
+            i += 1;
+            true
+        }
+        Some(b'+') => {
+            i += 1;
+            false
+        }
+        _ => false,
+    };
+    let mut m = 0u64;
+    let whole_start = i;
+    i = fold_digits(line, i, &mut m);
+    let mut digits = i - whole_start;
+    let mut fraction = 0;
+    if line.get(i) == Some(&b'.') {
+        let fraction_start = i + 1;
+        i = fold_digits(line, fraction_start, &mut m);
+        fraction = i - fraction_start;
+        digits += fraction;
+    }
+    if !line.get(i).is_none_or(u8::is_ascii_whitespace) {
+        // Not the fast grammar: the token runs on to the next
+        // whitespace.
+        let rest = line.get(i..).unwrap_or_default();
+        let end = i + rest
+            .iter()
+            .position(u8::is_ascii_whitespace)
+            .unwrap_or(rest.len());
+        return (parse_general(line.get(start..end).unwrap_or_default()), end);
+    }
+    let token = line.get(start..i).unwrap_or_default();
+    if let Some(&scale) = EXACT_POW10.get(fraction) {
+        if digits > 0
+            && m <= EXACT_MANTISSA_MAX
+            && (digits <= FAST_DIGITS_MAX || significant_digits(token) <= FAST_DIGITS_MAX)
+        {
+            let v = m as f64 / scale;
+            return (Some(if negative { -v } else { v }), i);
+        }
+    }
+    (parse_general(token), i)
+}
+
+/// Folds the decimal digits of `line` from `i` on into `m` and returns
+/// the index of the first byte that is not one. `m` wraps only past 19
+/// significant digits, which the fast path refuses.
+fn fold_digits(line: &[u8], mut i: usize, m: &mut u64) -> usize {
+    while let Some(d) = line
+        .get(i)
+        .map(|b| b.wrapping_sub(b'0'))
+        .filter(|&d| d <= 9)
+    {
+        *m = m.wrapping_mul(10).wrapping_add(u64::from(d));
+        i += 1;
+    }
+    i
+}
+
+/// Digits of a `[+-]?digits[.digits]` token from its first nonzero one.
+fn significant_digits(token: &[u8]) -> usize {
+    token
+        .iter()
+        .filter(|b| b.is_ascii_digit())
+        .skip_while(|&&b| b == b'0')
+        .count()
+}
+
+/// `str::parse::<f64>` of `token`, finite values only.
+fn parse_general(token: &[u8]) -> Option<f64> {
+    let v: f64 = std::str::from_utf8(token).ok()?.parse().ok()?;
+    v.is_finite().then_some(v)
+}
+
+/// Parses a whole token (no whitespace inside) as a finite `f64`: the
+/// one number grammar of the wire, for header and body numbers alike.
+fn parse_finite(token: &[u8]) -> Option<f64> {
+    match scan_number(token, 0) {
+        (value, end) if end == token.len() => value,
         _ => None,
+    }
+}
+
+/// The numbers on one body line, split on ASCII whitespace exactly as
+/// `split_ascii_whitespace` splits it and converted as they are
+/// scanned: `Some(v)` for a finite number, `None` for any other token
+/// (including one holding non-ASCII bytes).
+struct Numbers<'a> {
+    line: &'a [u8],
+    /// Index of the next byte to scan.
+    at: usize,
+}
+
+impl<'a> Numbers<'a> {
+    fn new(line: &'a [u8]) -> Self {
+        Numbers { line, at: 0 }
+    }
+}
+
+impl Iterator for Numbers<'_> {
+    type Item = Option<f64>;
+
+    fn next(&mut self) -> Option<Option<f64>> {
+        while self.line.get(self.at).is_some_and(u8::is_ascii_whitespace) {
+            self.at += 1;
+        }
+        if self.at >= self.line.len() {
+            return None;
+        }
+        let (value, end) = scan_number(self.line, self.at);
+        self.at = end;
+        Some(value)
     }
 }
 
 // ---------------------------------------------------------------------
 // Response encoders — the only code that writes server->client bytes,
-// so the wire format lives in exactly one place per frame kind.
+// so the wire format lives in exactly one place per frame kind. They
+// format straight into `out`; writing into a `Vec` cannot fail.
 // ---------------------------------------------------------------------
 
 /// `OK <accepted> q=<queue_depth>` — `PUSH`/`PUSHC` acknowledgement.
 pub fn encode_push_ok(out: &mut Vec<u8>, accepted: usize, queue_depth: usize) {
-    out.extend_from_slice(format!("OK {accepted} q={queue_depth}\n").as_bytes());
+    let _ = writeln!(out, "OK {accepted} q={queue_depth}");
 }
 
 /// `OK <count>` + one `<value>` line per sample, oldest first (the
 /// `MetricStore` read API the server fronts is value-oriented).
 pub fn encode_samples(out: &mut Vec<u8>, values: &[f64]) {
-    out.extend_from_slice(format!("OK {}\n", values.len()).as_bytes());
+    let _ = writeln!(out, "OK {}", values.len());
     for v in values {
-        out.extend_from_slice(format!("{v}\n").as_bytes());
+        let _ = writeln!(out, "{v}");
     }
 }
 
-/// `OK <n>` + a single data line (STATUS/SETPOINT single-line bodies).
-pub fn encode_single_line(out: &mut Vec<u8>, body: &str) {
-    out.extend_from_slice(b"OK 1\n");
-    out.extend_from_slice(body.as_bytes());
-    out.push(b'\n');
+/// `OK 1` + a single data line (STATUS/SETPOINT single-line bodies).
+pub fn encode_single_line(out: &mut Vec<u8>, body: impl std::fmt::Display) {
+    let _ = writeln!(out, "OK 1\n{body}");
 }
 
 /// `OK <nbytes>` + exactly that many raw bytes (METRICS byte-counted
 /// framing; the body is not line-structured).
 pub fn encode_bytes_block(out: &mut Vec<u8>, body: &[u8]) {
-    out.extend_from_slice(format!("OK {}\n", body.len()).as_bytes());
+    let _ = writeln!(out, "OK {}", body.len());
     out.extend_from_slice(body);
 }
 
 /// `ERR <code> <slug>` line.
 pub fn encode_err(out: &mut Vec<u8>, err: ProtocolError) {
-    out.extend_from_slice(format!("ERR {} {}\n", err.code(), err.slug()).as_bytes());
+    encode_err_parts(out, err.code(), err.slug());
 }
 
 /// `ERR <code> <slug>` from explicit parts (for server-level errors
 /// that are not parse errors, e.g. `404 status-unavailable`).
 pub fn encode_err_parts(out: &mut Vec<u8>, code: u16, slug: &str) {
-    out.extend_from_slice(format!("ERR {code} {slug}\n").as_bytes());
+    let _ = writeln!(out, "ERR {code} {slug}");
 }
 
 #[cfg(test)]
@@ -643,6 +777,44 @@ mod tests {
         assert_eq!(
             p.feed(&mut input, &mut events),
             Err(ProtocolError::LineTooLong)
+        );
+    }
+
+    #[test]
+    fn encoders_write_the_format_bytes() {
+        // The tlp-mixed values: 0.1-quantized readings 18.0–33.9.
+        let mut values: Vec<f64> = (0..160)
+            .map(|i| format!("{:.1}", 18.0 + i as f64 / 10.0).parse().unwrap())
+            .collect();
+        values.extend([
+            0.0,
+            -0.0,
+            f64::from_bits(1), // the smallest subnormal
+            1e-7,
+            1e16,
+            1e21,
+            f64::MAX,
+            -f64::MAX,
+        ]);
+        let mut out = Vec::new();
+        encode_samples(&mut out, &values);
+        let mut want = format!("OK {}\n", values.len());
+        for v in &values {
+            want.push_str(&format!("{v}\n"));
+        }
+        assert_eq!(String::from_utf8(out).unwrap(), want);
+
+        let mut out = Vec::new();
+        encode_push_ok(&mut out, 4096, 123_456);
+        encode_err(&mut out, ProtocolError::LineTooLong);
+        encode_err_parts(&mut out, 404, "unknown-zone");
+        encode_single_line(&mut out, "{\"rung\":\"Normal\"}");
+        encode_single_line(&mut out, 22.5);
+        encode_bytes_block(&mut out, b"a 1\nb 2\n");
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "OK 4096 q=123456\nERR 431 line-too-long\nERR 404 unknown-zone\n\
+             OK 1\n{\"rung\":\"Normal\"}\nOK 1\n22.5\nOK 8\na 1\nb 2\n"
         );
     }
 

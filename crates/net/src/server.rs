@@ -17,7 +17,7 @@
 //! never-blocking [`IngestQueue`], and everything a handler reads
 //! (historian shards, the status board) is lock-held only for copies.
 
-use std::io;
+use std::io::{self, Write as _};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -122,7 +122,8 @@ impl TlpHandler {
         counter!("tesla_net_requests_total").inc();
         match event {
             Event::Hello => {
-                output.extend_from_slice(format!("OK tlp/{PROTOCOL_VERSION}\n").as_bytes());
+                // Writing into a `Vec` cannot fail.
+                let _ = writeln!(output, "OK tlp/{PROTOCOL_VERSION}");
             }
             Event::Ping => output.extend_from_slice(b"PONG\n"),
             Event::Push(batch) => {
@@ -155,16 +156,14 @@ impl TlpHandler {
             Event::Status(zone) => match self.registry.resolve(zone) {
                 None => encode_err_parts(output, 404, "unknown-zone"),
                 Some(board) => match board.snapshot() {
-                    Some(snap) => encode_single_line(output, &snap.to_json()),
+                    Some(snap) => encode_single_line(output, snap.to_json()),
                     None => encode_err_parts(output, 404, "status-unavailable"),
                 },
             },
             Event::Setpoint(zone) => match self.registry.resolve(zone) {
                 None => encode_err_parts(output, 404, "unknown-zone"),
                 Some(board) => match board.snapshot() {
-                    Some(snap) => {
-                        encode_single_line(output, &format!("{}", snap.setpoint.value()));
-                    }
+                    Some(snap) => encode_single_line(output, snap.setpoint.value()),
                     None => encode_err_parts(output, 404, "status-unavailable"),
                 },
             },

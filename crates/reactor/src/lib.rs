@@ -9,15 +9,21 @@
 //! one of `shards` event loops; each loop sweeps its connections with
 //! non-blocking `read`/`write` calls and hands complete bytes to a
 //! per-connection [`Handler`]. A sweep that moves no bytes anywhere
-//! sleeps `idle_sleep` before the next one, so an idle reactor costs
-//! ~zero CPU while a saturated one never sleeps at all.
+//! sleeps before the next one, so an idle reactor costs ~zero CPU
+//! while a saturated one never sleeps at all. The sleeps back off: the
+//! empty sweeps after one that moved bytes (or took a connection)
+//! sleep `idle_sleep / 16`, `/ 8`, `/ 4` and `/ 2`, and every later one
+//! `idle_sleep`. A closed-loop client whose next request follows each
+//! reply at once therefore waits about one short sleep per round trip,
+//! and a shard quiet for about `idle_sleep` paces as a full sleep per
+//! sweep.
 //!
 //! The trade against readiness APIs is an O(connections) sweep instead
 //! of an O(ready) wake-up. For the workloads this repo serves —
 //! telemetry floods where *most* sockets are hot, and scrape endpoints
 //! with a handful of sockets — the sweep is either amortised by payload
-//! or trivially cheap. See `docs/SERVICE.md` ("Design notes") for the
-//! measured numbers.
+//! or trivially cheap. See `docs/SERVICE.md` ("Capacity planning") and
+//! `docs/PERFORMANCE.md` for the measured numbers.
 //!
 //! Contracts the event loop upholds (and the `no-blocking-io-in-reactor`
 //! xtask lint plus the `ReactorShard::poll_once` analysis root enforce):
@@ -119,7 +125,9 @@ pub struct ReactorConfig {
     /// next connection (bounds how long one hot socket can hog a
     /// sweep).
     pub reads_per_sweep: usize,
-    /// Sleep between sweeps that moved no bytes.
+    /// Sleep between sweeps that moved no bytes, once the shard has
+    /// been quiet for about this long; the first empty sweeps after a
+    /// busy one sleep `idle_sleep / 16` doubling up to it.
     pub idle_sleep: Duration,
     /// Idle-connection poll backoff, as a power-of-two exponent cap: a
     /// connection that moved no bytes for k consecutive sweeps is only
@@ -389,19 +397,27 @@ impl ReactorShard {
         self.conns.is_empty()
     }
 
-    /// The shard's event loop: drain the inbox, sweep, sleep when idle.
+    /// The shard's event loop: drain the inbox, sweep, sleep when idle,
+    /// backing the sleep off after a busy sweep (see [`idle_backoff`]).
     ///
     /// Named `event_loop` rather than `run` so the name-based call graph
     /// in tesla-analysis does not alias it with `BackoffPolicy::run`.
     fn event_loop(&mut self, stop: &AtomicBool, idle_sleep: Duration) {
+        // Empty sweeps since the last busy one; a fresh shard starts
+        // quiet, at the full sleep.
+        let mut quiet_sweeps = IDLE_BACKOFF_STEPS;
         while !stop.load(Ordering::Acquire) {
             let fresh = self.drain_inbox();
             let progress = self.poll_once();
-            if fresh == 0 && !progress {
+            if fresh > 0 || progress {
+                quiet_sweeps = 0;
+            } else {
+                let pause = idle_backoff(idle_sleep, quiet_sweeps);
+                quiet_sweeps = quiet_sweeps.saturating_add(1);
                 // The idle sleep only runs when every connection on this
                 // `reactor-shard-*` thread is quiet; it is the shard's pacing.
                 // lint:allow(no-blocking-io-in-reactor): idle shard pacing
-                thread::sleep(idle_sleep);
+                thread::sleep(pause);
             }
         }
         // Drop remaining connections cleanly so close hooks fire.
@@ -411,6 +427,19 @@ impl ReactorShard {
             self.conn_count.fetch_sub(1, Ordering::Relaxed);
         }
     }
+}
+
+/// Empty sweeps after a busy one that sleep less than `idle_sleep`.
+const IDLE_BACKOFF_STEPS: u32 = 4;
+
+/// The sleep after the `quiet_sweeps`-th consecutive empty sweep
+/// (counting from 0) since the last sweep that moved bytes or accepted
+/// a connection: `idle_sleep / 16`, `/ 8`, `/ 4`, `/ 2`, then
+/// `idle_sleep` from there on. The four short sleeps sum to 15/16 of
+/// `idle_sleep`, so a shard that has been quiet for about `idle_sleep`
+/// sweeps and sleeps as one without the backoff does.
+fn idle_backoff(idle_sleep: Duration, quiet_sweeps: u32) -> Duration {
+    idle_sleep / (1 << IDLE_BACKOFF_STEPS.saturating_sub(quiet_sweeps))
 }
 
 /// Outcome of sweeping a single connection.
@@ -679,6 +708,45 @@ mod tests {
                 assert_eq!(line, format!("COLD-{round}-{i}\n"));
             }
         }
+        r.stop();
+    }
+
+    #[test]
+    fn idle_sleep_backs_off_from_a_sixteenth() {
+        let full = Duration::from_micros(800);
+        let sleeps: Vec<u128> = (0..7).map(|k| idle_backoff(full, k).as_micros()).collect();
+        assert_eq!(sleeps, vec![50, 100, 200, 400, 800, 800, 800]);
+        assert_eq!(idle_backoff(full, u32::MAX), full);
+    }
+
+    #[test]
+    fn closed_loop_round_trips_wait_a_short_sleep_not_a_full_one() {
+        // With a 100 ms idle sleep, a shard that slept the full sleep
+        // after every reply would take about 1 s for ten round trips.
+        let r = bind_echo(ReactorConfig {
+            idle_sleep: Duration::from_millis(100),
+            ..ReactorConfig::default()
+        });
+        let mut c = TcpStream::connect(r.local_addr()).unwrap();
+        c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut reader = BufReader::new(c.try_clone().unwrap());
+        let mut line = String::new();
+        // One round trip first, so the connection is parked on a shard.
+        c.write_all(b"warm\n").unwrap();
+        reader.read_line(&mut line).unwrap();
+        assert_eq!(line, "WARM\n");
+        let started = std::time::Instant::now();
+        for i in 0..10 {
+            c.write_all(format!("rt-{i}\n").as_bytes()).unwrap();
+            line.clear();
+            reader.read_line(&mut line).unwrap();
+            assert_eq!(line, format!("RT-{i}\n"));
+        }
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_millis(500),
+            "ten round trips took {took:?}"
+        );
         r.stop();
     }
 

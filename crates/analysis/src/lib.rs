@@ -225,6 +225,13 @@ impl Workspace {
         on_line || above
     }
 
+    /// How many files carry a file-level waiver for `rule`.
+    pub fn file_waivers(&self, rule: &str) -> usize {
+        (0..self.lines.len())
+            .filter(|&file| self.file_allows(file, rule))
+            .count()
+    }
+
     /// `// analysis:allow-file(<rule>): reason` on any comment line.
     fn file_allows(&self, file: usize, rule: &str) -> bool {
         let needle = format!("analysis:allow-file({rule})");
@@ -404,6 +411,8 @@ mod tests {
         };
         let findings = w.analyze(&cfg);
         assert!(findings.iter().all(|f| f.allowed), "got: {findings:?}");
+        assert_eq!(w.file_waivers(RULE_PANIC), 1);
+        assert_eq!(w.file_waivers(RULE_ALLOC), 0);
     }
 
     #[test]

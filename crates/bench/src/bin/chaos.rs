@@ -19,9 +19,8 @@
 //! wall-clock) — a single pair is at the mercy of scheduler noise and
 //! has produced a nonsensical negative figure. The scenario sweep then
 //! runs with metrics enabled and the run writes
-//! `bench_results/BENCH_chaos.json` with the per-scenario results, the
-//! overhead figures, and a per-phase latency breakdown from the
-//! instrumented crates.
+//! `bench_results/BENCH_chaos.json` with the per-scenario results and
+//! the overhead figures.
 //!
 //! `--restarts` adds the **restart chaos sweep**: for every fault
 //! scenario the controller process is torn down at ≥3 random control
@@ -229,9 +228,8 @@ fn restart_sweep(
         // so both sides hold identical models at minute 0).
         let mut ctrl = tesla_bench::trained_tesla(train, 1);
         let mut sup = Supervisor::new(SupervisorConfig::default());
-        let base = tesla_bench::profile::time_episode(|| {
-            run_supervised_episode(&mut ctrl, &mut sup, &cfg).expect("uninterrupted episode")
-        });
+        let base =
+            run_supervised_episode(&mut ctrl, &mut sup, &cfg).expect("uninterrupted episode");
 
         // ≥ n_restarts distinct random tear points, late enough that the
         // first checkpoint cadence has fired before the earliest kill.
@@ -398,9 +396,7 @@ fn main() {
                 faults: plan,
                 ..base_cfg.clone()
             };
-            let r = tesla_bench::profile::time_episode(|| {
-                run_supervised_episode(tesla, &mut sup, &cfg).expect("episode")
-            });
+            let r = run_supervised_episode(tesla, &mut sup, &cfg).expect("episode");
             (r, sup)
         };
 
@@ -627,11 +623,21 @@ fn main() {
         failures += sweep.failures;
     }
 
-    let path = tesla_bench::profile::write_bench_json("chaos", &fields);
+    let path = write_report(&fields);
     println!("report written to {}", path.display());
     if failures > 0 {
         eprintln!("{failures} scenario(s) violated the robustness acceptance bounds");
         std::process::exit(1);
     }
     println!("all scenarios completed with finite metrics within bounds");
+}
+
+/// Writes `bench_results/BENCH_chaos.json`: one object of the given
+/// already-rendered JSON values, in order.
+fn write_report(fields: &[(&str, String)]) -> std::path::PathBuf {
+    let path = std::path::PathBuf::from("bench_results/BENCH_chaos.json");
+    let body: Vec<String> = fields.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+    std::fs::create_dir_all("bench_results").expect("create bench_results/");
+    std::fs::write(&path, format!("{{{}}}\n", body.join(","))).expect("write BENCH_chaos.json");
+    path
 }

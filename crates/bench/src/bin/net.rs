@@ -1,9 +1,7 @@
 //! Load bench for the `tesla-net` TLP/1 service: tens of thousands of
 //! concurrent clients flooding columnar `PUSHC` batches over loopback
 //! into a WAL-backed historian, then a query-latency pass and a
-//! connection-churn pass. Writes `bench_results/BENCH_net.json` with
-//! `net_ingest_samples_per_second` as the `cargo xtask bench-diff` gate
-//! and `tesla_net_query_seconds` in the latency breakdown.
+//! connection-churn pass, printed as one table.
 //!
 //! Process layout (the box caps each process at ~20k file
 //! descriptors): the parent hosts the [`tesla_net::NetServer`] plus all
@@ -267,7 +265,6 @@ fn main() {
     eprintln!("churn: {churn} connect+ping+close cycles = {churn_rate:.0}/s");
 
     server.stop();
-    let stats = store.storage_stats();
     drop(store);
     if cleanup {
         let _ = std::fs::remove_dir_all(&dir);
@@ -312,25 +309,6 @@ fn main() {
         failures.push(format!("acked {acked} exceeds sent {sent}"));
     }
 
-    let path = tesla_bench::profile::write_bench_json(
-        "net",
-        &[
-            ("connections", format!("{connections}")),
-            ("client_procs", format!("{client_procs}")),
-            ("batch_samples", format!("{batch}")),
-            ("flood_seconds", format!("{seconds}")),
-            ("net_ingest_samples_per_second", format!("{ingest_rate:.1}")),
-            ("net_acked_samples_per_second", format!("{acked_rate:.1}")),
-            ("samples_written", format!("{written}")),
-            ("samples_dropped", format!("{dropped}")),
-            ("wal_sealed_samples", format!("{}", stats.sealed_samples)),
-            ("net_query_p50_seconds", format!("{q_p50:.7}")),
-            ("net_query_p99_seconds", format!("{q_p99:.7}")),
-            ("churn_connections_per_second", format!("{churn_rate:.1}")),
-        ],
-    );
-    println!("report written to {}", path.display());
-
     for f in &failures {
         eprintln!("FAIL: {f}");
     }
@@ -349,9 +327,7 @@ fn bench_dir() -> (std::path::PathBuf, bool) {
 }
 
 /// Blocking query clients (threaded, sequential round-trips each)
-/// measuring client-observed `QUERY LASTN` latency. Every RTT also
-/// lands in the `tesla_net_query_seconds` histogram, which is what
-/// `cargo xtask bench-diff` gates on via the latency breakdown.
+/// measuring client-observed `QUERY LASTN` latency.
 fn query_phase(
     addr: &str,
     queries: usize,
@@ -393,9 +369,7 @@ fn query_phase(
                         line.clear();
                         reader.read_line(&mut line).expect("query value");
                     }
-                    let rtt = started.elapsed();
-                    tesla_obs::histogram!("tesla_net_query_seconds").observe_duration(rtt);
-                    local.push(rtt.as_secs_f64());
+                    local.push(started.elapsed().as_secs_f64());
                 }
                 rtts.lock().unwrap().extend(local);
             });

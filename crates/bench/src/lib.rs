@@ -25,19 +25,14 @@
 //! the MAPE evaluation protocols, the Wang-et-al-style recursive MLP
 //! baseline, table rendering, and CSV export.
 //!
-//! # Example: profiling a timed phase
+//! # Example: naming a result file
 //!
 //! ```
-//! tesla_obs::set_enabled(true);
-//! let value = tesla_bench::profile::time_episode(|| 2 + 2);
-//! assert_eq!(value, 4);
-//! // The wall-clock histogram now feeds the BENCH_*.json breakdown.
-//! let json = tesla_bench::profile::latency_breakdown_json();
-//! assert!(json.contains("bench_episode_wall_seconds"));
+//! // Every bin writes `bench_results/<slug>.csv` under a shell-safe name.
+//! assert_eq!(tesla_bench::csv_slug("Fig10_fixed-23C"), "fig10_fixed_23c");
 //! ```
 
 pub mod plot;
-pub mod profile;
 
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -465,7 +460,7 @@ pub fn run_standard_episode(
         seed,
         ..tesla_core::EpisodeConfig::default()
     };
-    profile::time_episode(|| tesla_core::run_episode(controller, &cfg).expect("episode"))
+    tesla_core::run_episode(controller, &cfg).expect("episode")
 }
 
 #[cfg(test)]

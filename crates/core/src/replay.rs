@@ -197,17 +197,25 @@ mod tests {
         let mut sup = Supervisor::new(SupervisorConfig::default());
         let original = run_supervised_episode(&mut ctrl, &mut sup, &cfg).unwrap();
 
-        // Record into a durable historian, flush, and drop it — the data
-        // now lives only in the WAL on disk.
+        // Record into a durable historian, flush, append one more record,
+        // and drop it — the data now lives only in the WAL on disk.
         {
             let (store, _) = Historian::open(&dir, HistorianConfig::default()).unwrap();
             record_episode(&store, "ep-disk", &original);
             store.flush().unwrap();
+            store.append_batch("ep-disk.sacrificial", &[(0.0, 1.0), (60.0, 2.0)]);
         }
+        // The crash: a torn write through the last record.
+        tear_segment_containing(&dir, b"ep-disk.sacrificial");
 
-        // Reopen: WAL recovery rebuilds the series, then replay.
+        // Reopen: WAL recovery drops the torn tail, rebuilds the
+        // episode's series, then replay.
         let (recovered, stats) = Historian::open(&dir, HistorianConfig::default()).unwrap();
         assert!(stats.records > 0, "recovery must have replayed the WAL");
+        assert!(
+            stats.truncated_bytes > 0,
+            "recovery must truncate the torn tail: {stats:?}"
+        );
         let store: Arc<dyn MetricStore> = Arc::new(recovered);
         let mut sup2 = Supervisor::new(SupervisorConfig::default());
         let replayed = replay_supervised_episode(&*store, "ep-disk", &mut sup2, &cfg).unwrap();
@@ -221,5 +229,27 @@ mod tests {
         assert_eq!(original.safe_mode_minutes, replayed.safe_mode_minutes);
 
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Chops the last 5 bytes off the WAL segment whose bytes contain
+    /// `needle`, as a crash mid-write would leave it. WAL frames carry
+    /// the series name in the clear, so a byte scan finds the segment.
+    fn tear_segment_containing(dir: &std::path::Path, needle: &[u8]) {
+        for shard in std::fs::read_dir(dir).unwrap() {
+            let shard = shard.unwrap().path();
+            if !shard.is_dir() {
+                continue;
+            }
+            for seg in std::fs::read_dir(&shard).unwrap() {
+                let seg = seg.unwrap().path();
+                let bytes = std::fs::read(&seg).unwrap();
+                if bytes.windows(needle.len()).any(|w| w == needle) {
+                    let file = std::fs::OpenOptions::new().write(true).open(&seg).unwrap();
+                    file.set_len(bytes.len() as u64 - 5).unwrap();
+                    return;
+                }
+            }
+        }
+        panic!("no WAL segment holds {}", String::from_utf8_lossy(needle));
     }
 }

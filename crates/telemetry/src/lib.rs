@@ -8,7 +8,7 @@
 //! producer process that pulls windows from InfluxDB and pushes them onto
 //! a message queue, and a consumer process that runs the control pipeline.
 //!
-//! This crate supplies the collection and preprocessing half of that
+//! This crate supplies the collection and sensor-health half of that
 //! stack; storage is the `tesla-historian` engine behind its
 //! [`MetricStore`] trait (re-exported here):
 //!
@@ -17,8 +17,10 @@
 //! * [`health::HealthMonitor`] — per-signal staleness/range/flatline
 //!   detection with quarantine and imputation, so forecaster windows
 //!   stay full when sensors fail.
-//! * [`normalize::MinMaxNormalizer`] — the paper's preprocessing: all
-//!   signals min-max normalized to `[0, 1]` before modeling (§5.1).
+//!
+//! The paper min-max normalizes every signal before modeling (§5.1).
+//! Nothing in this workspace models on min-max-normalized data; the
+//! ridge regressions standardize their own features.
 //!
 //! # Example: collecting one observation
 //!
@@ -38,9 +40,7 @@
 
 pub mod collector;
 pub mod health;
-pub mod normalize;
 
 pub use collector::{metric, Collector};
 pub use health::{HealthConfig, HealthFault, HealthMonitor, SanitizeReport};
-pub use normalize::MinMaxNormalizer;
 pub use tesla_historian::MetricStore;

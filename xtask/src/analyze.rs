@@ -8,8 +8,9 @@
 //! lock acquisition order, and no
 //! blocking calls inside the deadline-bounded `Supervisor::decide`
 //! path. Findings are gated by a ratchet: `analysis-baseline.json`
-//! records the allowed active count per rule, `--deny` fails when a
-//! count grows, and the baseline only ever goes down
+//! records, per rule, the allowed active count and the number of files
+//! that waive the rule with `analysis:allow-file`; `--deny` fails when
+//! either count grows, and the baseline only ever goes down
 //! (`--write-baseline` after a burn-down).
 
 use std::collections::BTreeMap;
@@ -17,6 +18,8 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
+
+use crate::json::Json;
 use tesla_analysis::{
     AnalysisFinding, LockClass, LockOrderConfig, RuleConfig, Workspace, RULE_ALLOC, RULE_BLOCKING,
     RULE_LOCK, RULE_PANIC,
@@ -27,6 +30,15 @@ pub const ANALYSIS_RULES: [&str; 4] = [RULE_LOCK, RULE_ALLOC, RULE_BLOCKING, RUL
 
 /// Default committed baseline path, relative to the workspace root.
 pub const BASELINE_PATH: &str = "analysis-baseline.json";
+
+/// The ratcheted counts per rule. Both may only fall.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Counts {
+    /// Active (not allowlisted) findings.
+    pub findings: BTreeMap<&'static str, usize>,
+    /// Files that waive the rule with `analysis:allow-file`.
+    pub file_waivers: BTreeMap<&'static str, usize>,
+}
 
 /// Roots, lock classes, and the declared lock order for this workspace.
 ///
@@ -186,8 +198,8 @@ pub fn run(args: &[String]) -> ExitCode {
     let findings = ws.analyze(&cfg);
     let wall = started.elapsed().as_secs_f64();
 
-    let mut active: BTreeMap<&str, usize> = BTreeMap::new();
-    let mut allowed: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut active: BTreeMap<&'static str, usize> = BTreeMap::new();
+    let mut allowed: BTreeMap<&'static str, usize> = BTreeMap::new();
     for rule in ANALYSIS_RULES {
         active.insert(rule, 0);
         allowed.insert(rule, 0);
@@ -211,6 +223,18 @@ pub fn run(args: &[String]) -> ExitCode {
         "xtask analyze: {n_files} file(s), {} fn(s), {total_active} active finding(s), \
          {total_allowed} allowlisted, {wall:.2}s",
         ws.graph.fns.len()
+    );
+    let now = Counts {
+        findings: active.clone(),
+        file_waivers: waiver_counts(&ws),
+    };
+    println!(
+        "xtask analyze: file-level waivers: {}",
+        now.file_waivers
+            .iter()
+            .map(|(rule, n)| format!("{rule} {n}"))
+            .collect::<Vec<_>>()
+            .join(", ")
     );
 
     // Report.
@@ -239,7 +263,7 @@ pub fn run(args: &[String]) -> ExitCode {
         root.join(&baseline_path)
     };
     if write_baseline {
-        let body = render_baseline(&active);
+        let body = render_baseline(&now);
         if let Err(e) = fs::write(&baseline_abs, body) {
             eprintln!(
                 "xtask analyze: cannot write {}: {e}",
@@ -254,34 +278,30 @@ pub fn run(args: &[String]) -> ExitCode {
         return ExitCode::SUCCESS;
     }
     let baseline = match fs::read_to_string(&baseline_abs) {
-        Ok(s) => parse_baseline(&s),
+        Ok(s) => match parse_baseline(&s) {
+            Ok(b) => b,
+            Err(e) => {
+                eprintln!("xtask analyze: {}: {e}", baseline_abs.display());
+                return ExitCode::from(2);
+            }
+        },
         Err(_) => {
             eprintln!(
                 "xtask analyze: no baseline at {} (run with --write-baseline to create one); \
                  treating all rules as baseline 0",
                 baseline_abs.display()
             );
-            BTreeMap::new()
+            Counts::default()
         }
     };
-    let mut regressed = false;
-    for rule in ANALYSIS_RULES {
-        let now = *active.get(rule).unwrap_or(&0);
-        let base = *baseline.get(rule).unwrap_or(&0);
-        if now > base {
-            eprintln!(
-                "xtask analyze: RATCHET — rule `{rule}` has {now} active finding(s), \
-                 baseline allows {base}"
-            );
-            regressed = true;
-        } else if now < base {
-            println!(
-                "xtask analyze: rule `{rule}` improved to {now} (baseline {base}); \
-                 ratchet down with --write-baseline"
-            );
-        }
+    let (rose, fell) = ratchet(&now, &baseline);
+    for r in &rose {
+        eprintln!("xtask analyze: RATCHET — {r}");
     }
-    if deny && regressed {
+    for f in &fell {
+        println!("xtask analyze: {f}; ratchet down with --write-baseline");
+    }
+    if deny && !rose.is_empty() {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
@@ -326,43 +346,82 @@ pub fn render_analysis_report(
     s
 }
 
-/// Renders the committed baseline: a flat rule -> active-count map.
-pub fn render_baseline(active: &BTreeMap<&str, usize>) -> String {
-    let mut s = String::from("{\n");
-    let rules: Vec<&&str> = active.keys().collect();
-    for (i, rule) in rules.iter().enumerate() {
-        s.push_str(&format!(
-            "  \"{}\": {}{}\n",
-            rule,
-            active.get(**rule).unwrap_or(&0),
-            if i + 1 < rules.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("}\n");
-    s
+/// Files per rule that carry an `analysis:allow-file` waiver.
+pub fn waiver_counts(ws: &Workspace) -> BTreeMap<&'static str, usize> {
+    ANALYSIS_RULES
+        .iter()
+        .map(|&rule| (rule, ws.file_waivers(rule)))
+        .collect()
 }
 
-/// Parses the flat `"rule": count` baseline format. Tolerant of
-/// whitespace; ignores anything that is not a known quoted key followed
-/// by an integer.
-pub fn parse_baseline(s: &str) -> BTreeMap<&'static str, usize> {
-    let mut out = BTreeMap::new();
-    for rule in ANALYSIS_RULES {
-        let needle = format!("\"{rule}\"");
-        if let Some(pos) = s.find(&needle) {
-            let rest = &s[pos + needle.len()..];
-            let rest = rest.trim_start().strip_prefix(':').unwrap_or(rest);
-            let digits: String = rest
-                .trim_start()
-                .chars()
-                .take_while(|c| c.is_ascii_digit())
-                .collect();
-            if let Ok(n) = digits.parse::<usize>() {
-                out.insert(rule, n);
+/// Compares `now` with the baseline. Returns one message per count
+/// that rose, which fails the ratchet, and one per count that fell.
+pub fn ratchet(now: &Counts, baseline: &Counts) -> (Vec<String>, Vec<String>) {
+    let (mut rose, mut fell) = (Vec::new(), Vec::new());
+    for (what, now, base) in [
+        ("active finding(s)", &now.findings, &baseline.findings),
+        (
+            "file-level waiver(s)",
+            &now.file_waivers,
+            &baseline.file_waivers,
+        ),
+    ] {
+        for rule in ANALYSIS_RULES {
+            let n = now.get(rule).copied().unwrap_or(0);
+            let b = base.get(rule).copied().unwrap_or(0);
+            if n > b {
+                rose.push(format!("rule `{rule}` has {n} {what}, baseline allows {b}"));
+            } else if n < b {
+                fell.push(format!(
+                    "rule `{rule}` improved to {n} {what} (baseline {b})"
+                ));
             }
         }
     }
-    out
+    (rose, fell)
+}
+
+/// Renders the committed baseline: per section, a rule -> count map.
+pub fn render_baseline(counts: &Counts) -> String {
+    let section = |name: &str, map: &BTreeMap<&'static str, usize>| {
+        let rows: Vec<String> = map
+            .iter()
+            .map(|(rule, n)| format!("    \"{rule}\": {n}"))
+            .collect();
+        format!("  \"{name}\": {{\n{}\n  }}", rows.join(",\n"))
+    };
+    format!(
+        "{{\n{},\n{}\n}}\n",
+        section("findings", &counts.findings),
+        section("file_waivers", &counts.file_waivers)
+    )
+}
+
+/// Parses the baseline written by [`render_baseline`]. Rules it does not
+/// name count as 0.
+pub fn parse_baseline(s: &str) -> Result<Counts, String> {
+    let doc = Json::parse(s)?;
+    let section = |name: &str| -> Result<BTreeMap<&'static str, usize>, String> {
+        let map = doc
+            .get(name)
+            .and_then(Json::as_object)
+            .ok_or(format!("no `{name}` object"))?;
+        let mut out = BTreeMap::new();
+        for rule in ANALYSIS_RULES {
+            if let Some(v) = map.get(rule) {
+                let n = v
+                    .as_f64()
+                    .filter(|n| *n >= 0.0 && n.fract() == 0.0)
+                    .ok_or(format!("`{name}.{rule}` is not a count"))?;
+                out.insert(rule, n as usize);
+            }
+        }
+        Ok(out)
+    };
+    Ok(Counts {
+        findings: section("findings")?,
+        file_waivers: section("file_waivers")?,
+    })
 }
 
 #[cfg(test)]
@@ -568,15 +627,43 @@ mod tests {
 
     #[test]
     fn baseline_round_trip() {
-        let mut active: BTreeMap<&str, usize> = BTreeMap::new();
+        let mut counts = Counts::default();
         for rule in ANALYSIS_RULES {
-            active.insert(rule, 0);
+            counts.findings.insert(rule, 0);
+            counts.file_waivers.insert(rule, 0);
         }
-        active.insert(RULE_PANIC, 3);
-        let body = render_baseline(&active);
-        let parsed = parse_baseline(&body);
-        assert_eq!(parsed.get(RULE_PANIC), Some(&3));
-        assert_eq!(parsed.get(RULE_LOCK), Some(&0));
+        counts.findings.insert(RULE_PANIC, 3);
+        counts.file_waivers.insert(RULE_ALLOC, 19);
+        let parsed = parse_baseline(&render_baseline(&counts)).unwrap();
+        assert_eq!(parsed, counts);
+        assert!(parse_baseline("{\"findings\": {}}").is_err());
+    }
+
+    /// The committed baseline holds the tree's waiver counts, and one
+    /// more file-level waiver fails `--deny`.
+    #[test]
+    fn one_more_file_waiver_fails_the_ratchet() {
+        let root = crate::workspace_root();
+        let baseline =
+            parse_baseline(&fs::read_to_string(root.join(BASELINE_PATH)).unwrap()).unwrap();
+        let mut sources = workspace_sources(&root).expect("workspace sources readable");
+        let counts = |sources: Vec<(String, String)>| Counts {
+            findings: baseline.findings.clone(),
+            file_waivers: waiver_counts(&Workspace::from_sources(sources)),
+        };
+        let (rose, _) = ratchet(&counts(sources.clone()), &baseline);
+        assert!(
+            rose.is_empty(),
+            "the tree already exceeds the baseline: {rose:?}"
+        );
+
+        sources.push((
+            "crates/core/src/waived.rs".into(),
+            "// analysis:allow-file(panic-free-control-path): one more\n".into(),
+        ));
+        let (rose, _) = ratchet(&counts(sources), &baseline);
+        assert_eq!(rose.len(), 1, "{rose:?}");
+        assert!(rose[0].contains(RULE_PANIC) && rose[0].contains("file-level waiver"));
     }
 
     #[test]

@@ -1,437 +1,741 @@
-//! `cargo xtask bench-diff` — the perf-regression gate.
+//! `cargo xtask bench-ab <base-rev>` — the benchmark gate.
 //!
-//! Compares every gate metric the two `BENCH_*.json` artifacts share
-//! (as written by the tesla-bench binaries) and fails when the new
-//! artifact regresses any of them by more than the budget:
+//! Builds perfbench at `<base-rev>` and at `HEAD`, each from a
+//! `git archive` of its commit under `target/bench-ab/<commit>/` with
+//! HEAD's `perfbench/` and `BENCHMARK.json` laid over it, so both sides
+//! run the same benchmark code and settings. It measures commits, not
+//! the working tree, and never builds in the checkout's `perfbench/`.
 //!
-//! * `tesla_decide_seconds` p50 (lower is better) from the
-//!   `latency_breakdown` array — the BO decision-path gate.
-//! * `ingest_samples_per_second` (higher is better) from the top level —
-//!   the historian ingest-throughput gate.
-//! * `restart_recovery_seconds` p50 (lower is better) from the
-//!   `latency_breakdown` array — the restart-chaos recovery-time gate.
-//! * `net_ingest_samples_per_second` (higher is better) from the top
-//!   level — the end-to-end network ingest gate (`BENCH_net.json`).
-//! * `tesla_net_query_seconds` p50 (lower is better) from the
-//!   `latency_breakdown` array — the TLP query round-trip gate.
-//! * `fleet_zone_minutes_per_second` (higher is better) from the top
-//!   level — the fleet zone-minute throughput gate (`BENCH_fleet.json`).
-//! * `tesla_fleet_zone_decide_seconds` p50 (lower is better) from the
-//!   `latency_breakdown` array — the per-zone decision-path gate.
+//! Every workload of HEAD's `BENCHMARK.json` runs in [`PAIRS`] pairs,
+//! seeds 1 to [`PAIRS`], for the file's `run_seconds`; odd pairs run the
+//! base first and even pairs HEAD first. For each workload and
+//! end-to-end metric the gate compares the medians in the metric's
+//! worse direction, relative to the base, against the metric's `bound`.
 //!
-//! Comparing artifacts that share no gate metric is an error (exit 2),
-//! but a `BENCH_perf.json` pair and a `BENCH_historian.json` pair each
-//! compare on their own gate. The 10% budget is generous enough that
-//! one histogram-bucket step or ingest-rate jitter does not flap the
-//! gate.
+//! Exit status: 0 when every median stays within its bound; 1 on a
+//! regression, a run that exits non-zero or reports `"correct": false`,
+//! or a larger failed share on HEAD; 2 when a side cannot be extracted,
+//! built or parsed.
 
-/// The latency metric the gate watches (lower is better).
-pub const GATE_METRIC: &str = "tesla_decide_seconds";
+use crate::json::Json;
+use std::collections::BTreeMap;
+use std::fs;
+use std::path::{Path, PathBuf};
+use std::process::{Command, ExitCode, Stdio};
+use std::time::Instant;
+use tesla_linalg::stats::quantile;
 
-/// The throughput metric the gate watches (higher is better).
-pub const INGEST_METRIC: &str = "ingest_samples_per_second";
+/// Pairs of runs per workload: the fewest the benchmark guide accepts
+/// for a median comparison.
+pub const PAIRS: u64 = 10;
 
-/// The restart-recovery latency metric the gate watches (lower is
-/// better). Written by `chaos --restarts` into `BENCH_chaos.json`.
-pub const RECOVERY_METRIC: &str = "restart_recovery_seconds";
-
-/// The network ingest-throughput metric the gate watches (higher is
-/// better). Written by the `net` bench into `BENCH_net.json`.
-pub const NET_INGEST_METRIC: &str = "net_ingest_samples_per_second";
-
-/// The TLP query round-trip latency metric the gate watches (lower is
-/// better). Loopback RTTs at the ~100µs scale jitter across the
-/// log-linear histogram grid from run to run, so this gate's budget is
-/// one bucket step (plus slack) rather than the flat 10% — see
-/// [`one_bucket_up`].
-pub const NET_QUERY_METRIC: &str = "tesla_net_query_seconds";
-
-/// The fleet zone-minute throughput metric the gate watches (higher is
-/// better). Written by the `fleet` bench into `BENCH_fleet.json` from
-/// the 8-zone capped tier — the tier the full run and the CI `--smoke`
-/// run share, so the comparison is like for like.
-pub const FLEET_THROUGHPUT_METRIC: &str = "fleet_zone_minutes_per_second";
-
-/// The per-zone decision-path latency metric the gate watches (lower
-/// is better). Like [`NET_QUERY_METRIC`], the ~100µs-scale p50 is
-/// quantized onto the log-linear histogram grid, so its budget is one
-/// bucket step (plus slack) — see [`one_bucket_up`].
-pub const FLEET_DECIDE_METRIC: &str = "tesla_fleet_zone_decide_seconds";
-
-/// Maximum tolerated regression on any gate, percent.
-pub const BUDGET_PERCENT: f64 = 10.0;
-
-/// Extracts `p50_seconds` for `metric` from a `BENCH_*.json` body's
-/// `latency_breakdown` array. Mirrors the hand-rolled writer in
-/// `tesla-bench::profile` (the workspace has no serde).
-pub fn breakdown_p50(json: &str, metric: &str) -> Option<f64> {
-    let entry = json.find(&format!("\"metric\":\"{metric}\""))?;
-    let rest = &json[entry..];
-    let end = rest.find('}')?;
-    let entry_body = &rest[..end];
-    let key = "\"p50_seconds\":";
-    let at = entry_body.find(key)? + key.len();
-    let tail = &entry_body[at..];
-    let stop = tail.find([',', '}']).unwrap_or(tail.len());
-    tail[..stop].trim().parse::<f64>().ok()
+/// One end-to-end metric as `BENCHMARK.json` declares it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Metric {
+    /// Name in perfbench's result line.
+    pub name: String,
+    /// `"better": "lower"`; otherwise higher is better.
+    pub lower_is_better: bool,
+    /// Largest tolerated worsening of the median, as a fraction.
+    pub bound: f64,
 }
 
-/// Extracts a top-level `"key":<number>` field from an artifact body.
-/// The tesla-bench writer emits unique keys, so a plain find suffices.
-pub fn top_level_number(json: &str, key: &str) -> Option<f64> {
-    let k = format!("\"{key}\":");
-    let at = json.find(&k)? + k.len();
-    let tail = &json[at..];
-    let stop = tail.find([',', '}']).unwrap_or(tail.len());
-    tail[..stop].trim().parse::<f64>().ok()
+/// What the gate reads from `BENCHMARK.json`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Spec {
+    /// `workloads[].name`, in file order.
+    pub workloads: Vec<String>,
+    /// Seconds per run, the same on both sides.
+    pub run_seconds: f64,
+    /// `end_to_end[]`, in file order.
+    pub metrics: Vec<Metric>,
 }
 
-/// One gate metric's comparison between two artifacts.
-#[derive(Debug, PartialEq)]
-pub struct GateResult {
-    /// Which gate metric was compared.
-    pub metric: &'static str,
-    /// Old artifact's value.
-    pub old: f64,
-    /// New artifact's value.
-    pub new: f64,
-    /// Regression in percent — positive means the new artifact is worse,
-    /// whichever direction "worse" is for this metric.
-    pub regression_pct: f64,
-    /// Maximum tolerated regression for this metric, percent.
-    pub budget_pct: f64,
-}
-
-impl GateResult {
-    /// True when this gate exceeds its budget.
-    pub fn over_budget(&self) -> bool {
-        self.regression_pct > self.budget_pct
+impl Spec {
+    /// Parses the body of a `BENCHMARK.json`.
+    pub fn parse(text: &str) -> Result<Spec, String> {
+        let doc = Json::parse(text)?;
+        let list = |key: &str| {
+            doc.get(key)
+                .and_then(Json::as_array)
+                .ok_or(format!("BENCHMARK.json: no `{key}` array"))
+        };
+        let workloads = list("workloads")?
+            .iter()
+            .map(|w| {
+                w.get("name")
+                    .and_then(Json::as_str)
+                    .map(str::to_string)
+                    .ok_or("BENCHMARK.json: a workload has no `name`".to_string())
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let run_seconds = doc
+            .get("run_seconds")
+            .and_then(Json::as_f64)
+            .filter(|s| *s > 0.0)
+            .ok_or("BENCHMARK.json: no positive `run_seconds`")?;
+        let metrics = list("end_to_end")?
+            .iter()
+            .map(|m| {
+                let name = m.get("name").and_then(Json::as_str);
+                let better = m.get("better").and_then(Json::as_str);
+                let bound = m.get("bound").and_then(Json::as_f64);
+                match (name, better, bound) {
+                    (Some(name), Some(better @ ("lower" | "higher")), Some(bound)) => Ok(Metric {
+                        name: name.to_string(),
+                        lower_is_better: better == "lower",
+                        bound,
+                    }),
+                    _ => Err(format!(
+                        "BENCHMARK.json: end-to-end metric {name:?} needs `name`, \
+                         `better` (lower or higher) and `bound`"
+                    )),
+                }
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        if workloads.is_empty() || metrics.is_empty() {
+            return Err("BENCHMARK.json: no workloads or no end-to-end metrics".into());
+        }
+        Ok(Spec {
+            workloads,
+            run_seconds,
+            metrics,
+        })
     }
 }
 
-/// The histogram bucket bound one step above `v` on the log-linear
-/// grid tesla-obs quantizes latencies onto (9 steps per decade:
-/// 1, 2, …, 9, 10). Breakdown p50s in `BENCH_*.json` are exactly these
-/// bounds, so "one step up" is the smallest possible run-to-run
-/// movement of a quantized p50.
-pub fn one_bucket_up(v: f64) -> f64 {
-    if !(v.is_finite() && v > 0.0) {
-        return v;
+/// Which commit a run measured.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Side {
+    /// `<base-rev>`.
+    Base,
+    /// `HEAD`.
+    Head,
+}
+
+impl Side {
+    fn label(self) -> &'static str {
+        match self {
+            Side::Base => "base",
+            Side::Head => "HEAD",
+        }
     }
-    let exp = v.log10().floor();
-    let scale = 10f64.powf(exp);
-    // Round to the nearest grid mantissa to absorb float noise.
-    let mantissa = (v / scale).round().clamp(1.0, 10.0);
-    if mantissa >= 9.0 {
-        scale * 10.0
+}
+
+/// perfbench's last output line: `{"correct", "attempted", "failed",
+/// "metrics": {<name>: {"value", "unit"}}}`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunResult {
+    /// The run's output checks passed and every metric is finite.
+    pub correct: bool,
+    /// Operations attempted.
+    pub attempted: f64,
+    /// Operations that failed.
+    pub failed: f64,
+    /// Metric values by name; `null` reads as NaN.
+    pub metrics: BTreeMap<String, f64>,
+}
+
+impl RunResult {
+    /// Parses one result line.
+    pub fn parse(line: &str) -> Result<RunResult, String> {
+        let doc = Json::parse(line)?;
+        let number = |key: &str| {
+            doc.get(key)
+                .and_then(Json::as_f64)
+                .ok_or(format!("result line: no number `{key}`"))
+        };
+        let correct = doc
+            .get("correct")
+            .and_then(Json::as_bool)
+            .ok_or("result line: no boolean `correct`")?;
+        let mut metrics = BTreeMap::new();
+        for (name, m) in doc
+            .get("metrics")
+            .and_then(Json::as_object)
+            .ok_or("result line: no `metrics` object")?
+        {
+            let value = match m.get("value") {
+                Some(Json::Null) => f64::NAN,
+                Some(Json::Number(v)) => *v,
+                _ => return Err(format!("result line: metric `{name}` has no value")),
+            };
+            metrics.insert(name.clone(), value);
+        }
+        Ok(RunResult {
+            correct,
+            attempted: number("attempted")?,
+            failed: number("failed")?,
+            metrics,
+        })
+    }
+}
+
+/// One perfbench run as recorded.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Run {
+    /// The commit it measured.
+    pub side: Side,
+    /// The workload it ran.
+    pub workload: String,
+    /// Its `--seed`, which is also its pair number.
+    pub seed: u64,
+    /// The process exited 0.
+    pub exit_ok: bool,
+    /// Its parsed result line; `None` when a failed run printed none.
+    pub result: Option<RunResult>,
+}
+
+/// A side's median and quartiles of one metric.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Quartiles {
+    /// 25th percentile.
+    pub q1: f64,
+    /// Median.
+    pub median: f64,
+    /// 75th percentile.
+    pub q3: f64,
+}
+
+impl Quartiles {
+    fn of(values: &[f64]) -> Quartiles {
+        Quartiles {
+            q1: quantile(values, 0.25),
+            median: quantile(values, 0.5),
+            q3: quantile(values, 0.75),
+        }
+    }
+}
+
+/// One workload × metric comparison.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Row {
+    /// Workload name.
+    pub workload: String,
+    /// The metric and its bound.
+    pub metric: Metric,
+    /// Base runs.
+    pub base: Quartiles,
+    /// HEAD runs.
+    pub head: Quartiles,
+    /// How much worse HEAD's median is than the base median, as a
+    /// fraction of it: positive is worse, in either `better` direction.
+    pub worse_by: f64,
+    /// `worse_by` exceeds the bound (or is not a number).
+    pub regressed: bool,
+    /// The base quartile spread exceeds the bound, so the base runs
+    /// alone spread too widely for the comparison to tell.
+    pub unresolved: bool,
+}
+
+/// The gate's decision over a set of runs.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Verdict {
+    /// One row per workload × metric.
+    pub rows: Vec<Row>,
+    /// Every reason the gate fails; empty on a pass.
+    pub failures: Vec<String>,
+}
+
+/// Relative distance from `base` to `head` in the direction that is
+/// worse for the metric: positive when HEAD is worse.
+fn worse_by(lower_is_better: bool, base: f64, head: f64) -> f64 {
+    let worse = if lower_is_better {
+        head - base
     } else {
-        scale * (mantissa + 1.0)
+        base - head
+    };
+    if base == 0.0 {
+        if worse > 0.0 {
+            f64::INFINITY
+        } else {
+            0.0
+        }
+    } else {
+        worse / base.abs()
     }
 }
 
-/// Compares every gate metric both artifacts carry. An empty result
-/// means the artifacts share no gate — the caller should treat that as
-/// unreadable rather than as a pass.
-pub fn gate_results(old_json: &str, new_json: &str) -> Vec<GateResult> {
-    let mut out = Vec::new();
-    let usable = |v: f64| v.is_finite() && v > 0.0;
-    // Latency gates: breakdown p50, lower is better.
-    for metric in [
-        GATE_METRIC,
-        RECOVERY_METRIC,
-        NET_QUERY_METRIC,
-        FLEET_DECIDE_METRIC,
-    ] {
-        if let (Some(old), Some(new)) = (
-            breakdown_p50(old_json, metric),
-            breakdown_p50(new_json, metric),
-        ) {
-            if usable(old) && new.is_finite() {
-                // The query-RTT and fleet-decide gates tolerate one
-                // histogram bucket step (plus 5% slack): smoke runs on
-                // loaded runners wobble a quantized ~100µs p50 by one
-                // bucket, which is noise, while a real regression moves
-                // it two or more.
-                let budget_pct = if metric == NET_QUERY_METRIC || metric == FLEET_DECIDE_METRIC {
-                    (100.0 * (one_bucket_up(old) * 1.05 / old - 1.0)).max(BUDGET_PERCENT)
-                } else {
-                    BUDGET_PERCENT
-                };
-                out.push(GateResult {
-                    metric,
-                    old,
-                    new,
-                    regression_pct: 100.0 * (new / old - 1.0),
-                    budget_pct,
-                });
-            }
+/// Judges recorded runs against the spec's bounds.
+pub fn judge(spec: &Spec, runs: &[Run]) -> Verdict {
+    let mut failures = Vec::new();
+    for run in runs {
+        let what = format!("{} {} seed {}", run.workload, run.side.label(), run.seed);
+        if !run.exit_ok {
+            failures.push(format!("{what}: perfbench exited non-zero"));
+        }
+        if run.result.as_ref().is_some_and(|r| !r.correct) {
+            failures.push(format!("{what}: result line reports \"correct\": false"));
         }
     }
-    // Throughput gates: top-level rate, higher is better.
-    for metric in [INGEST_METRIC, NET_INGEST_METRIC, FLEET_THROUGHPUT_METRIC] {
-        if let (Some(old), Some(new)) = (
-            top_level_number(old_json, metric),
-            top_level_number(new_json, metric),
-        ) {
-            if usable(old) && usable(new) {
-                out.push(GateResult {
-                    metric,
-                    old,
-                    new,
-                    regression_pct: 100.0 * (1.0 - new / old),
-                    budget_pct: BUDGET_PERCENT,
-                });
-            }
+    let mut rows = Vec::new();
+    for workload in &spec.workloads {
+        let results = |side: Side| -> Vec<&RunResult> {
+            runs.iter()
+                .filter(|r| r.side == side && &r.workload == workload)
+                .filter_map(|r| r.result.as_ref())
+                .collect()
+        };
+        let (base, head) = (results(Side::Base), results(Side::Head));
+        let failed_share = |rs: &[&RunResult]| {
+            let attempted: f64 = rs.iter().map(|r| r.attempted).sum();
+            rs.iter().map(|r| r.failed).sum::<f64>() / attempted.max(1.0)
+        };
+        let (base_share, head_share) = (failed_share(&base), failed_share(&head));
+        if head_share > base_share {
+            failures.push(format!(
+                "{workload}: HEAD failed share {head_share:.3e} exceeds the base's {base_share:.3e}"
+            ));
         }
+        for metric in &spec.metrics {
+            let values = |rs: &[&RunResult]| -> Vec<f64> {
+                rs.iter()
+                    .filter_map(|r| r.metrics.get(&metric.name).copied())
+                    .filter(|v| v.is_finite())
+                    .collect()
+            };
+            let (b, h) = (Quartiles::of(&values(&base)), Quartiles::of(&values(&head)));
+            let worse = worse_by(metric.lower_is_better, b.median, h.median);
+            let regressed = worse.is_nan() || worse > metric.bound;
+            if regressed {
+                failures.push(format!(
+                    "{workload} {}: HEAD's median is {:.1}% worse than the base's, bound {:.0}%",
+                    metric.name,
+                    worse * 100.0,
+                    metric.bound * 100.0
+                ));
+            }
+            rows.push(Row {
+                workload: workload.clone(),
+                metric: metric.clone(),
+                base: b,
+                head: h,
+                worse_by: worse,
+                regressed,
+                unresolved: (b.q3 - b.q1) / b.median.abs() > metric.bound,
+            });
+        }
+    }
+    Verdict { rows, failures }
+}
+
+/// A value in at most a dozen columns with about four significant digits.
+fn num(v: f64) -> String {
+    let a = v.abs();
+    if !v.is_finite() {
+        "nan".into()
+    } else if a >= 1e5 {
+        format!("{v:.3e}")
+    } else if a >= 100.0 {
+        format!("{v:.1}")
+    } else if a >= 1.0 {
+        format!("{v:.3}")
+    } else {
+        format!("{v:.4}")
+    }
+}
+
+/// The verdict as a table, one row per workload × metric.
+pub fn render(verdict: &Verdict) -> String {
+    let side = |q: &Quartiles| format!("{} [{}, {}]", num(q.median), num(q.q1), num(q.q3));
+    let mut out = format!(
+        "{:<12} {:<19} {:<30} {:<30} {:>8} {:>6}  verdict\n",
+        "workload", "metric", "base median [q1, q3]", "HEAD median [q1, q3]", "change", "bound"
+    );
+    for r in &verdict.rows {
+        let sign = if r.metric.lower_is_better { 1.0 } else { -1.0 };
+        let change = (r.head.median - r.base.median) / r.base.median.abs();
+        let mut verdict = if r.regressed { "REGRESSED" } else { "ok" }.to_string();
+        if r.unresolved {
+            verdict.push_str(" unresolved");
+        }
+        out.push_str(&format!(
+            "{:<12} {:<19} {:<30} {:<30} {:>+7.1}% {:>+5.0}%  {verdict}\n",
+            r.workload,
+            r.metric.name,
+            side(&r.base),
+            side(&r.head),
+            change * 100.0,
+            sign * r.metric.bound * 100.0,
+        ));
     }
     out
+}
+
+/// Entry point for `cargo xtask bench-ab`.
+pub fn run(args: &[String]) -> ExitCode {
+    let [base_rev] = args else {
+        eprintln!("usage: cargo xtask bench-ab <base-rev>");
+        return ExitCode::from(2);
+    };
+    let (spec, runs) = match measure(&crate::workspace_root(), base_rev) {
+        Ok(measured) => measured,
+        Err(e) => {
+            eprintln!("xtask bench-ab: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    let verdict = judge(&spec, &runs);
+    print!("{}", render(&verdict));
+    for f in &verdict.failures {
+        eprintln!("xtask bench-ab: FAIL — {f}");
+    }
+    if verdict.failures.is_empty() {
+        println!(
+            "xtask bench-ab: every median within its bound over {} workload(s) x {PAIRS} pairs",
+            spec.workloads.len()
+        );
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+/// Builds both sides and runs the pairs. Stops at the first run that
+/// fails outright, since the gate has failed by then.
+fn measure(root: &Path, base_rev: &str) -> Result<(Spec, Vec<Run>), String> {
+    let head = rev_parse(root, "HEAD")?;
+    let base = rev_parse(root, base_rev)?;
+    let head_tree = prepare(root, &head, &head)?;
+    let spec_path = head_tree.join("BENCHMARK.json");
+    let spec = Spec::parse(
+        &fs::read_to_string(&spec_path)
+            .map_err(|e| format!("cannot read {}: {e}", spec_path.display()))?,
+    )?;
+    build(&head_tree).map_err(|e| format!("HEAD {head} does not build its benchmark: {e}"))?;
+    let base_tree = if base == head {
+        head_tree.clone()
+    } else {
+        let tree = prepare(root, &base, &head)?;
+        build(&tree).map_err(|e| format!("base {base} cannot build HEAD's benchmark: {e}"))?;
+        tree
+    };
+
+    let mut runs = Vec::new();
+    for seed in 1..=PAIRS {
+        let order = if seed % 2 == 1 {
+            [Side::Base, Side::Head]
+        } else {
+            [Side::Head, Side::Base]
+        };
+        for workload in &spec.workloads {
+            for side in order {
+                let tree = if side == Side::Base {
+                    &base_tree
+                } else {
+                    &head_tree
+                };
+                let run = run_once(tree, side, workload, seed, spec.run_seconds)?;
+                let broken = !run.exit_ok || run.result.as_ref().is_some_and(|r| !r.correct);
+                runs.push(run);
+                if broken {
+                    return Ok((spec, runs));
+                }
+            }
+        }
+    }
+    Ok((spec, runs))
+}
+
+fn rev_parse(root: &Path, rev: &str) -> Result<String, String> {
+    let out = Command::new("git")
+        .arg("-C")
+        .arg(root)
+        .args(["rev-parse", "--verify", "--quiet"])
+        .arg(format!("{rev}^{{commit}}"))
+        .output()
+        .map_err(|e| format!("cannot run git: {e}"))?;
+    let commit = String::from_utf8_lossy(&out.stdout).trim().to_string();
+    if out.status.success() && !commit.is_empty() {
+        Ok(commit)
+    } else {
+        Err(format!("`{rev}` does not name a commit"))
+    }
+}
+
+/// Extracts `paths` of `commit` (everything when empty) into `dest`.
+fn extract(root: &Path, commit: &str, paths: &[&str], dest: &Path) -> Result<(), String> {
+    let mut git = Command::new("git")
+        .arg("-C")
+        .arg(root)
+        .args(["archive", "--format=tar", commit])
+        .args(paths)
+        .stdout(Stdio::piped())
+        .spawn()
+        .map_err(|e| format!("cannot run git archive: {e}"))?;
+    let tar = Command::new("tar")
+        .args(["-x", "-f", "-", "-C"])
+        .arg(dest)
+        .stdin(git.stdout.take().expect("git archive's stdout is piped"))
+        .status()
+        .map_err(|e| format!("cannot run tar: {e}"))?;
+    let archived = git.wait().map_err(|e| format!("git archive failed: {e}"))?;
+    if archived.success() && tar.success() {
+        Ok(())
+    } else {
+        Err(format!("cannot extract {commit} into {}", dest.display()))
+    }
+}
+
+/// A fresh `target/bench-ab/<commit>/` tree holding `commit` with
+/// HEAD's benchmark laid over it. Each run rebuilds from scratch: the
+/// extracted files carry their commit's time, which cargo would not
+/// see as newer than an earlier build of a different overlay.
+fn prepare(root: &Path, commit: &str, head: &str) -> Result<PathBuf, String> {
+    let tree = root.join("target/bench-ab").join(commit);
+    let io = |e: std::io::Error| format!("cannot prepare {}: {e}", tree.display());
+    if tree.exists() {
+        fs::remove_dir_all(&tree).map_err(io)?;
+    }
+    fs::create_dir_all(&tree).map_err(io)?;
+    extract(root, commit, &[], &tree)?;
+    if commit != head {
+        for gone in [
+            fs::remove_dir_all(tree.join("perfbench")),
+            fs::remove_file(tree.join("BENCHMARK.json")),
+        ] {
+            match gone {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(io(e)),
+                _ => {}
+            }
+        }
+        extract(root, head, &["perfbench", "BENCHMARK.json"], &tree)?;
+    }
+    Ok(tree)
+}
+
+fn build(tree: &Path) -> Result<(), String> {
+    let cargo = std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into());
+    let status = Command::new(cargo)
+        .args(["build", "--release", "--offline", "--manifest-path"])
+        .arg(tree.join("perfbench/Cargo.toml"))
+        .current_dir(tree)
+        .env_remove("CARGO_TARGET_DIR")
+        .status()
+        .map_err(|e| format!("cannot run cargo: {e}"))?;
+    if status.success() {
+        Ok(())
+    } else {
+        Err(format!("cargo build exited with {status}"))
+    }
+}
+
+/// Runs one workload from `tree` (tlp-mixed keeps its WAL under
+/// `perfbench/.work` relative to the working directory).
+fn run_once(
+    tree: &Path,
+    side: Side,
+    workload: &str,
+    seed: u64,
+    seconds: f64,
+) -> Result<Run, String> {
+    let started = Instant::now();
+    let out = Command::new(tree.join("perfbench/target/release/tesla-perfbench"))
+        .args(["--workload", workload, "--seed", &seed.to_string()])
+        .args(["--seconds", &seconds.to_string(), "--trace", "0"])
+        .current_dir(tree)
+        .output()
+        .map_err(|e| format!("cannot run {}'s perfbench: {e}", side.label()))?;
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let last = stdout
+        .lines()
+        .rev()
+        .find(|l| !l.trim().is_empty())
+        .unwrap_or("");
+    let result = match RunResult::parse(last) {
+        Ok(r) => Some(r),
+        Err(e) if out.status.success() => {
+            return Err(format!("{workload} {} seed {seed}: {e}", side.label()))
+        }
+        Err(_) => None,
+    };
+    eprintln!(
+        "xtask bench-ab: pair {seed:>2} {workload:<12} {:<4} {} in {:.1} s",
+        side.label(),
+        if out.status.success() { "ok" } else { "FAILED" },
+        started.elapsed().as_secs_f64()
+    );
+    if !out.status.success() {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let tail: Vec<&str> = stderr.lines().rev().take(20).collect();
+        for line in tail.iter().rev() {
+            eprintln!("  | {line}");
+        }
+    }
+    Ok(Run {
+        side,
+        workload: workload.to_string(),
+        seed,
+        exit_ok: out.status.success(),
+        result,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn artifact(p50: f64) -> String {
+    const SPEC: &str = r#"{
+        "run_seconds": 15,
+        "workloads": [{"name": "zone-tesla", "why": "—"}],
+        "end_to_end": [
+            {"name": "throughput_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+            {"name": "latency_p90_ms", "unit": "ms", "better": "lower", "bound": 0.25}
+        ]
+    }"#;
+
+    /// A recorded result line with the given metric values.
+    fn line(correct: bool, failed: u32, throughput: f64, p90: f64) -> String {
         format!(
-            "{{\"latency_breakdown\":[{{\"metric\":\"tesla_decide_seconds\",\
-             \"label\":\"TESLA control step\",\"count\":10,\
-             \"total_seconds\":1.0,\"p50_seconds\":{p50},\
-             \"p90_seconds\":0.1,\"p99_seconds\":0.2}}]}}"
+            "{{\"correct\": {correct}, \"attempted\": 1000, \"failed\": {failed}, \"metrics\": \
+             {{\"throughput_per_s\": {{\"value\": {throughput}, \"unit\": \"1/s\"}}, \
+             \"latency_p90_ms\": {{\"value\": {p90}, \"unit\": \"ms\"}}}}}}"
         )
     }
 
-    #[test]
-    fn improvement_and_small_regressions_pass() {
-        let results = gate_results(&artifact(0.05), &artifact(0.006));
-        assert_eq!(results.len(), 1);
-        assert_eq!(results[0].regression_pct, -88.0);
-        assert!(!results[0].over_budget());
-        let results = gate_results(&artifact(0.05), &artifact(0.054));
-        assert!((results[0].regression_pct - 8.0).abs() < 1e-9);
-        assert!(!results[0].over_budget());
+    fn run(side: Side, seed: u64, exit_ok: bool, line: &str) -> Run {
+        Run {
+            side,
+            workload: "zone-tesla".into(),
+            seed,
+            exit_ok,
+            result: Some(RunResult::parse(line).expect("recorded line parses")),
+        }
+    }
+
+    /// Ten pairs: the base at 244/s and 5.16 ms with a little spread,
+    /// HEAD's throughput and p90 scaled by the given factors.
+    fn pairs(throughput_factor: f64, p90_factor: f64) -> Vec<Run> {
+        let mut runs = Vec::new();
+        for seed in 1..=PAIRS {
+            let jitter = 1.0 + (seed % 3) as f64 * 0.01;
+            let (t, p) = (244.0 * jitter, 5.16 * jitter);
+            runs.push(run(Side::Base, seed, true, &line(true, 0, t, p)));
+            runs.push(run(
+                Side::Head,
+                seed,
+                true,
+                &line(true, 0, t * throughput_factor, p * p90_factor),
+            ));
+        }
+        runs
+    }
+
+    fn judge_spec(runs: &[Run]) -> Verdict {
+        judge(&Spec::parse(SPEC).unwrap(), runs)
     }
 
     #[test]
-    fn over_budget_regression_fails() {
-        let results = gate_results(&artifact(0.006), &artifact(0.008));
-        assert_eq!(results.len(), 1);
-        assert!(results[0].regression_pct > BUDGET_PERCENT);
-        assert!(results[0].over_budget());
-    }
-
-    #[test]
-    fn missing_or_degenerate_metric_yields_no_gate() {
-        assert!(gate_results("{}", &artifact(0.006)).is_empty());
-        assert!(gate_results(&artifact(0.0), &artifact(0.006)).is_empty());
-    }
-
-    #[test]
-    fn p50_parses_real_artifact_shape() {
-        let body = artifact(0.0425);
-        assert_eq!(breakdown_p50(&body, GATE_METRIC), Some(0.0425));
-        assert_eq!(breakdown_p50(&body, "other"), None);
-    }
-
-    fn historian_artifact(rate: f64) -> String {
-        format!(
-            "{{\"series\":64,\"ingest_samples_per_second\":{rate},\
-             \"compressed_bytes_per_sample\":1.82,\"recovery_seconds\":0.8,\
-             \"latency_breakdown\":[]}}"
-        )
-    }
-
-    #[test]
-    fn ingest_gate_passes_improvements_and_small_drops() {
-        let results = gate_results(&historian_artifact(2.0e6), &historian_artifact(2.5e6));
-        assert_eq!(results.len(), 1);
-        assert_eq!(results[0].metric, INGEST_METRIC);
-        assert!(
-            results[0].regression_pct < 0.0,
-            "faster must read as negative"
-        );
-        assert!(!results[0].over_budget());
-
-        let results = gate_results(&historian_artifact(2.0e6), &historian_artifact(1.9e6));
-        assert!(!results[0].over_budget(), "-5% throughput is within budget");
-    }
-
-    #[test]
-    fn ingest_gate_fails_large_throughput_drop() {
-        let results = gate_results(&historian_artifact(2.0e6), &historian_artifact(1.5e6));
-        assert_eq!(results.len(), 1);
-        assert!((results[0].regression_pct - 25.0).abs() < 1e-9);
-        assert!(results[0].over_budget(), "-25% throughput must fail");
-    }
-
-    #[test]
-    fn disjoint_artifacts_share_no_gate() {
-        assert!(gate_results(&artifact(0.01), &historian_artifact(2.0e6)).is_empty());
-        assert!(gate_results("{}", "{}").is_empty());
-    }
-
-    #[test]
-    fn latency_gate_still_flows_through_gate_results() {
-        let results = gate_results(&artifact(0.006), &artifact(0.008));
-        assert_eq!(results.len(), 1);
-        assert_eq!(results[0].metric, GATE_METRIC);
-        assert!(results[0].over_budget());
-    }
-
-    fn chaos_artifact(recovery_p50: f64) -> String {
-        format!(
-            "{{\"restart_failures\":0,\"latency_breakdown\":[\
-             {{\"metric\":\"restart_recovery_seconds\",\"label\":\"restart recovery\",\
-             \"count\":24,\"total_seconds\":0.8,\"p50_seconds\":{recovery_p50},\
-             \"p90_seconds\":0.2,\"p99_seconds\":0.3}}]}}"
-        )
-    }
-
-    #[test]
-    fn recovery_gate_passes_and_fails_on_p50() {
-        let results = gate_results(&chaos_artifact(0.03), &chaos_artifact(0.031));
-        assert_eq!(results.len(), 1);
-        assert_eq!(results[0].metric, RECOVERY_METRIC);
-        assert!(!results[0].over_budget(), "+3.3% recovery is within budget");
-
-        let results = gate_results(&chaos_artifact(0.03), &chaos_artifact(0.05));
-        assert!(results[0].over_budget(), "+67% recovery must fail");
-    }
-
-    #[test]
-    fn recovery_gate_skipped_when_either_side_lacks_it() {
-        assert!(gate_results(&artifact(0.01), &chaos_artifact(0.03)).is_empty());
-        assert!(gate_results(&chaos_artifact(0.03), "{}").is_empty());
-    }
-
-    fn net_artifact(rate: f64, query_p50: f64) -> String {
-        format!(
-            "{{\"connections\":10000,\"net_ingest_samples_per_second\":{rate},\
-             \"net_query_p50_seconds\":{query_p50},\"latency_breakdown\":[\
-             {{\"metric\":\"tesla_net_query_seconds\",\"label\":\"TLP query round-trip\",\
-             \"count\":2000,\"total_seconds\":0.4,\"p50_seconds\":{query_p50},\
-             \"p90_seconds\":0.0005,\"p99_seconds\":0.003}}]}}"
-        )
-    }
-
-    #[test]
-    fn net_gates_compare_ingest_and_query_p50() {
-        let results = gate_results(&net_artifact(1.1e6, 2e-4), &net_artifact(1.5e6, 2e-4));
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].metric, NET_QUERY_METRIC);
-        assert_eq!(results[1].metric, NET_INGEST_METRIC);
-        assert!(results.iter().all(|r| !r.over_budget()));
-
-        let results = gate_results(&net_artifact(1.1e6, 2e-4), &net_artifact(0.8e6, 2e-4));
-        let ingest = results.iter().find(|r| r.metric == NET_INGEST_METRIC);
-        assert!(
-            ingest.is_some_and(GateResult::over_budget),
-            "-27% ingest must fail"
-        );
-
-        let results = gate_results(&net_artifact(1.1e6, 2e-4), &net_artifact(1.1e6, 5e-4));
-        let query = results.iter().find(|r| r.metric == NET_QUERY_METRIC);
-        assert!(
-            query.is_some_and(GateResult::over_budget),
-            "a 2e-4 -> 5e-4 (two-bucket) query p50 jump must fail"
-        );
-    }
-
-    #[test]
-    fn net_query_gate_tolerates_one_bucket_step() {
-        // 200µs -> 300µs is one step on the log-linear grid: noise on a
-        // loaded runner, not a regression.
-        let results = gate_results(&net_artifact(1.1e6, 2e-4), &net_artifact(1.1e6, 3e-4));
-        let query = results
+    fn committed_benchmark_json_parses() {
+        let text = fs::read_to_string(crate::workspace_root().join("BENCHMARK.json")).unwrap();
+        let spec = Spec::parse(&text).unwrap();
+        assert!(spec.workloads.contains(&"zone-tesla".to_string()));
+        assert!(spec.run_seconds > 0.0);
+        let p90 = spec
+            .metrics
             .iter()
-            .find(|r| r.metric == NET_QUERY_METRIC)
-            .expect("query gate present");
-        assert!((query.regression_pct - 50.0).abs() < 1e-9);
-        assert!(!query.over_budget(), "one bucket step must pass");
-    }
-
-    fn fleet_artifact(rate: f64, decide_p50: f64) -> String {
-        format!(
-            "{{\"workers\":1,\"zones_max\":1024,\
-             \"fleet_zone_minutes_per_second\":{rate},\"latency_breakdown\":[\
-             {{\"metric\":\"tesla_fleet_zone_decide_seconds\",\"label\":\"fleet zone decide\",\
-             \"count\":480,\"total_seconds\":0.05,\"p50_seconds\":{decide_p50},\
-             \"p90_seconds\":0.0002,\"p99_seconds\":0.0004}}]}}"
-        )
+            .find(|m| m.name == "latency_p90_ms")
+            .unwrap();
+        assert!(p90.lower_is_better && p90.bound > 0.0);
     }
 
     #[test]
-    fn fleet_gates_compare_throughput_and_decide_p50() {
-        let results = gate_results(
-            &fleet_artifact(14000.0, 1e-4),
-            &fleet_artifact(15000.0, 1e-4),
-        );
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].metric, FLEET_DECIDE_METRIC);
-        assert_eq!(results[1].metric, FLEET_THROUGHPUT_METRIC);
-        assert!(results.iter().all(|r| !r.over_budget()));
-
-        let results = gate_results(
-            &fleet_artifact(14000.0, 1e-4),
-            &fleet_artifact(10000.0, 1e-4),
-        );
-        let rate = results.iter().find(|r| r.metric == FLEET_THROUGHPUT_METRIC);
-        assert!(
-            rate.is_some_and(GateResult::over_budget),
-            "-29% zone-minute throughput must fail"
-        );
-
-        let results = gate_results(
-            &fleet_artifact(14000.0, 1e-4),
-            &fleet_artifact(14000.0, 3e-4),
-        );
-        let decide = results.iter().find(|r| r.metric == FLEET_DECIDE_METRIC);
-        assert!(
-            decide.is_some_and(GateResult::over_budget),
-            "a 1e-4 -> 3e-4 (two-bucket) decide p50 jump must fail"
-        );
+    fn spec_without_a_direction_is_rejected() {
+        let bad = SPEC.replace("\"higher\"", "\"up\"");
+        assert!(Spec::parse(&bad).is_err());
+        assert!(Spec::parse("{\"run_seconds\": 15}").is_err());
     }
 
     #[test]
-    fn fleet_decide_gate_tolerates_one_bucket_step() {
-        // 100µs -> 200µs is one step on the log-linear grid: noise on a
-        // loaded runner, not a regression.
-        let results = gate_results(
-            &fleet_artifact(14000.0, 1e-4),
-            &fleet_artifact(14000.0, 2e-4),
-        );
-        let decide = results
+    fn identical_sides_pass() {
+        let v = judge_spec(&pairs(1.0, 1.0));
+        assert!(v.failures.is_empty(), "{:?}", v.failures);
+        assert_eq!(v.rows.len(), 2);
+        assert!(v.rows.iter().all(|r| !r.regressed && !r.unresolved));
+        assert!(render(&v).contains("zone-tesla   throughput_per_s"));
+    }
+
+    /// A 1.5x slower decide: throughput falls a third and p90 rises
+    /// half, and both directions are caught.
+    #[test]
+    fn slowdown_fails_in_both_directions() {
+        let v = judge_spec(&pairs(1.0 / 1.5, 1.5));
+        assert!(v.rows.iter().all(|r| r.regressed));
+        assert_eq!(v.failures.len(), 2);
+        assert!(v.failures[0].contains("throughput_per_s"));
+        assert!(v.failures[1].contains("latency_p90_ms"));
+        assert!(render(&v).contains("REGRESSED"));
+    }
+
+    /// Moving the better way passes however far it moves, and a move
+    /// inside the bound passes too.
+    #[test]
+    fn improvements_and_moves_inside_the_bound_pass() {
+        assert!(judge_spec(&pairs(1.5, 0.5)).failures.is_empty());
+        assert!(judge_spec(&pairs(0.8, 1.2)).failures.is_empty());
+    }
+
+    #[test]
+    fn correct_false_fails() {
+        let mut runs = pairs(1.0, 1.0);
+        runs[3] = run(Side::Head, 2, true, &line(false, 0, 244.0, 5.16));
+        let v = judge_spec(&runs);
+        assert_eq!(v.failures.len(), 1);
+        assert!(v.failures[0].contains("\"correct\": false"));
+    }
+
+    #[test]
+    fn nonzero_exit_fails_even_without_a_result_line() {
+        let mut runs = pairs(1.0, 1.0);
+        runs[5].exit_ok = false;
+        runs[5].result = None;
+        let v = judge_spec(&runs);
+        assert_eq!(v.failures.len(), 1);
+        assert!(v.failures[0].contains("exited non-zero"));
+    }
+
+    #[test]
+    fn higher_failed_share_fails_and_an_equal_one_passes() {
+        let mut runs = pairs(1.0, 1.0);
+        runs[1] = run(Side::Head, 1, true, &line(true, 3, 244.0, 5.16));
+        let v = judge_spec(&runs);
+        assert_eq!(v.failures.len(), 1);
+        assert!(v.failures[0].contains("failed share"));
+        runs[0] = run(Side::Base, 1, true, &line(true, 3, 244.0, 5.16));
+        assert!(judge_spec(&runs).failures.is_empty());
+    }
+
+    /// A base whose quartiles spread wider than the bound cannot tell a
+    /// move of that size: the row says so and still passes.
+    #[test]
+    fn wide_base_spread_is_unresolved() {
+        let mut runs = Vec::new();
+        for seed in 1..=PAIRS {
+            let t = if seed % 2 == 0 { 150.0 } else { 300.0 };
+            runs.push(run(Side::Base, seed, true, &line(true, 0, t, 5.16)));
+            runs.push(run(Side::Head, seed, true, &line(true, 0, t, 5.16)));
+        }
+        let v = judge_spec(&runs);
+        assert!(v.failures.is_empty());
+        let throughput = v
+            .rows
             .iter()
-            .find(|r| r.metric == FLEET_DECIDE_METRIC)
-            .expect("decide gate present");
-        assert!(!decide.over_budget(), "one bucket step must pass");
+            .find(|r| r.metric.name == "throughput_per_s")
+            .unwrap();
+        assert!(throughput.unresolved);
+        assert!(render(&v).contains("ok unresolved"));
     }
 
     #[test]
-    fn fleet_gates_skipped_when_either_side_lacks_them() {
-        assert!(gate_results(&fleet_artifact(14000.0, 1e-4), &artifact(0.01)).is_empty());
-        assert!(gate_results("{}", &fleet_artifact(14000.0, 1e-4)).is_empty());
-    }
-
-    #[test]
-    fn one_bucket_up_walks_the_grid() {
-        assert!((one_bucket_up(2e-4) - 3e-4).abs() < 1e-12);
-        assert!((one_bucket_up(9e-4) - 1e-3).abs() < 1e-12);
-        assert!((one_bucket_up(1e-3) - 2e-3).abs() < 1e-12);
-        assert!((one_bucket_up(5e-2) - 6e-2).abs() < 1e-12);
-        assert_eq!(one_bucket_up(0.0), 0.0);
-    }
-
-    #[test]
-    fn net_gates_skipped_when_either_side_lacks_them() {
-        assert!(gate_results(&net_artifact(1.1e6, 2e-4), &artifact(0.01)).is_empty());
-        assert!(gate_results("{}", &net_artifact(1.1e6, 2e-4)).is_empty());
-    }
-
-    #[test]
-    fn top_level_number_parses_and_rejects() {
-        let body = historian_artifact(4266000.5);
-        assert_eq!(top_level_number(&body, INGEST_METRIC), Some(4266000.5));
-        assert_eq!(top_level_number(&body, "missing_key"), None);
-        assert_eq!(top_level_number("{\"k\":\"str\"}", "k"), None);
+    fn null_metric_values_read_as_nan_and_fail_the_comparison() {
+        let r = RunResult::parse(
+            "{\"correct\": false, \"attempted\": 1, \"failed\": 0, \
+             \"metrics\": {\"latency_p90_ms\": {\"value\": null, \"unit\": \"ms\"}}}",
+        )
+        .unwrap();
+        assert!(r.metrics["latency_p90_ms"].is_nan());
+        assert!(RunResult::parse("workload zone-tesla seed 1").is_err());
+        assert_eq!(worse_by(true, 0.0, 0.0), 0.0);
+        assert!(worse_by(true, f64::NAN, 1.0).is_nan());
     }
 }

@@ -13,6 +13,7 @@
 
 mod analyze;
 mod bench;
+mod json;
 mod links;
 mod lints;
 
@@ -29,7 +30,7 @@ fn main() -> ExitCode {
         Some("analyze") => analyze::run(&args[1..]),
         Some("check-fixtures") => check_fixtures(),
         Some("check-links") => check_links(),
-        Some("bench-diff") => bench_diff(&args[1..]),
+        Some("bench-ab") => bench::run(&args[1..]),
         Some("help") | Some("--help") | Some("-h") | None => {
             print_usage();
             ExitCode::SUCCESS
@@ -56,61 +57,10 @@ fn print_usage() {
            --write-baseline  record current active counts as the new ratchet\n  \
          check-fixtures                    every rule must have TP and TN fixtures\n  \
          check-links                       verify relative links in markdown docs\n  \
-         bench-diff <old.json> <new.json>  fail on >{}% tesla_decide_seconds p50 regression",
-        bench::BUDGET_PERCENT
+         bench-ab <base-rev>               run perfbench at <base-rev> and HEAD in {} alternating\n    \
+                                           pairs; fail when a median moves past its BENCHMARK.json bound",
+        bench::PAIRS
     );
-}
-
-fn bench_diff(args: &[String]) -> ExitCode {
-    let [old_path, new_path] = args else {
-        eprintln!("usage: cargo xtask bench-diff <old.json> <new.json>");
-        return ExitCode::from(2);
-    };
-    let read = |p: &String| match fs::read_to_string(p) {
-        Ok(s) => Some(s),
-        Err(e) => {
-            eprintln!("xtask bench-diff: cannot read {p}: {e}");
-            None
-        }
-    };
-    let (Some(old_json), Some(new_json)) = (read(old_path), read(new_path)) else {
-        return ExitCode::from(2);
-    };
-    let results = bench::gate_results(&old_json, &new_json);
-    if results.is_empty() {
-        eprintln!(
-            "xtask bench-diff: cannot compare: the artifacts share no gate metric \
-             ({}, {}, {}, {}, {}, {}, or {})",
-            bench::GATE_METRIC,
-            bench::INGEST_METRIC,
-            bench::RECOVERY_METRIC,
-            bench::NET_INGEST_METRIC,
-            bench::NET_QUERY_METRIC,
-            bench::FLEET_THROUGHPUT_METRIC,
-            bench::FLEET_DECIDE_METRIC
-        );
-        return ExitCode::from(2);
-    }
-    let mut failed = false;
-    for r in &results {
-        println!(
-            "xtask bench-diff: {} {:.4} -> {:.4} ({:+.1}%)",
-            r.metric, r.old, r.new, r.regression_pct
-        );
-        if r.over_budget() {
-            eprintln!(
-                "xtask bench-diff: FAIL — {} regressed {:+.1}%, budget is {:.1}%",
-                r.metric, r.regression_pct, r.budget_pct
-            );
-            failed = true;
-        }
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        println!("xtask bench-diff: {} gate(s) within budget", results.len());
-        ExitCode::SUCCESS
-    }
 }
 
 /// Crates scanned per rule (paths relative to the workspace root).

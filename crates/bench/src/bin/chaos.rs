@@ -623,21 +623,14 @@ fn main() {
         failures += sweep.failures;
     }
 
-    let path = write_report(&fields);
-    println!("report written to {}", path.display());
+    let body: Vec<String> = fields.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+    std::fs::create_dir_all("bench_results").expect("create bench_results/");
+    let report = format!("{{{}}}\n", body.join(","));
+    std::fs::write("bench_results/BENCH_chaos.json", report).expect("write BENCH_chaos.json");
+    println!("report written to bench_results/BENCH_chaos.json");
     if failures > 0 {
         eprintln!("{failures} scenario(s) violated the robustness acceptance bounds");
         std::process::exit(1);
     }
     println!("all scenarios completed with finite metrics within bounds");
-}
-
-/// Writes `bench_results/BENCH_chaos.json`: one object of the given
-/// already-rendered JSON values, in order.
-fn write_report(fields: &[(&str, String)]) -> std::path::PathBuf {
-    let path = std::path::PathBuf::from("bench_results/BENCH_chaos.json");
-    let body: Vec<String> = fields.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
-    std::fs::create_dir_all("bench_results").expect("create bench_results/");
-    std::fs::write(&path, format!("{{{}}}\n", body.join(","))).expect("write BENCH_chaos.json");
-    path
 }

@@ -212,10 +212,7 @@ mod tests {
         // episode's series, then replay.
         let (recovered, stats) = Historian::open(&dir, HistorianConfig::default()).unwrap();
         assert!(stats.records > 0, "recovery must have replayed the WAL");
-        assert!(
-            stats.truncated_bytes > 0,
-            "recovery must truncate the torn tail: {stats:?}"
-        );
+        assert!(stats.truncated_bytes > 0, "the torn tail must be truncated");
         let store: Arc<dyn MetricStore> = Arc::new(recovered);
         let mut sup2 = Supervisor::new(SupervisorConfig::default());
         let replayed = replay_supervised_episode(&*store, "ep-disk", &mut sup2, &cfg).unwrap();
@@ -235,19 +232,19 @@ mod tests {
     /// `needle`, as a crash mid-write would leave it. WAL frames carry
     /// the series name in the clear, so a byte scan finds the segment.
     fn tear_segment_containing(dir: &std::path::Path, needle: &[u8]) {
-        for shard in std::fs::read_dir(dir).unwrap() {
-            let shard = shard.unwrap().path();
-            if !shard.is_dir() {
-                continue;
-            }
-            for seg in std::fs::read_dir(&shard).unwrap() {
-                let seg = seg.unwrap().path();
-                let bytes = std::fs::read(&seg).unwrap();
-                if bytes.windows(needle.len()).any(|w| w == needle) {
-                    let file = std::fs::OpenOptions::new().write(true).open(&seg).unwrap();
-                    file.set_len(bytes.len() as u64 - 5).unwrap();
-                    return;
-                }
+        let shards = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().path());
+        for seg in shards
+            .filter(|p| p.is_dir())
+            .flat_map(|p| std::fs::read_dir(p).unwrap())
+        {
+            let seg = seg.unwrap().path();
+            let bytes = std::fs::read(&seg).unwrap();
+            if bytes.windows(needle.len()).any(|w| w == needle) {
+                let file = std::fs::OpenOptions::new().write(true).open(&seg).unwrap();
+                file.set_len(bytes.len() as u64 - 5).unwrap();
+                return;
             }
         }
         panic!("no WAL segment holds {}", String::from_utf8_lossy(needle));

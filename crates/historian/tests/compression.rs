@@ -3,8 +3,7 @@
 
 use tesla_historian::{Historian, HistorianConfig};
 
-/// Deterministic xorshift so the workload needs no rand dependency and
-/// reproduces across runs.
+/// The workload's own deterministic xorshift, so its figures reproduce.
 struct XorShift(u64);
 
 impl XorShift {

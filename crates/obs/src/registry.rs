@@ -187,12 +187,6 @@ impl Histogram {
             .map(|b| b.load(Ordering::Relaxed))
             .collect()
     }
-
-    /// Approximate quantile (`0.0 ..= 1.0`): the upper bound of the
-    /// bucket containing the target rank. Good to one bucket width.
-    pub fn quantile(&self, q: f64) -> f64 {
-        quantile_from_buckets(&self.bucket_counts(), q)
-    }
 }
 
 /// Which instrument a registry entry holds.
@@ -500,8 +494,8 @@ mod tests {
         for _ in 0..10 {
             h.observe(1.0);
         }
-        assert_eq!(h.quantile(0.5), 0.01);
-        assert_eq!(h.quantile(0.99), 1.0);
+        assert_eq!(quantile_from_buckets(&h.bucket_counts(), 0.5), 0.01);
+        assert_eq!(quantile_from_buckets(&h.bucket_counts(), 0.99), 1.0);
     }
 
     #[test]

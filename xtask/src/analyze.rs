@@ -8,10 +8,10 @@
 //! lock acquisition order, and no
 //! blocking calls inside the deadline-bounded `Supervisor::decide`
 //! path. Findings are gated by a ratchet: `analysis-baseline.json`
-//! records, per rule, the allowed active count and the number of files
-//! that waive the rule with `analysis:allow-file`; `--deny` fails when
-//! either count grows, and the baseline only ever goes down
-//! (`--write-baseline` after a burn-down).
+//! records the allowed active count per rule and, under
+//! `file-waivers:<rule>`, how many files waive the rule with
+//! `analysis:allow-file`; `--deny` fails when a count grows, and the
+//! baseline only ever goes down (`--write-baseline` after a burn-down).
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -30,15 +30,6 @@ pub const ANALYSIS_RULES: [&str; 4] = [RULE_LOCK, RULE_ALLOC, RULE_BLOCKING, RUL
 
 /// Default committed baseline path, relative to the workspace root.
 pub const BASELINE_PATH: &str = "analysis-baseline.json";
-
-/// The ratcheted counts per rule. Both may only fall.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Counts {
-    /// Active (not allowlisted) findings.
-    pub findings: BTreeMap<&'static str, usize>,
-    /// Files that waive the rule with `analysis:allow-file`.
-    pub file_waivers: BTreeMap<&'static str, usize>,
-}
 
 /// Roots, lock classes, and the declared lock order for this workspace.
 ///
@@ -198,8 +189,8 @@ pub fn run(args: &[String]) -> ExitCode {
     let findings = ws.analyze(&cfg);
     let wall = started.elapsed().as_secs_f64();
 
-    let mut active: BTreeMap<&'static str, usize> = BTreeMap::new();
-    let mut allowed: BTreeMap<&'static str, usize> = BTreeMap::new();
+    let mut active: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut allowed: BTreeMap<&str, usize> = BTreeMap::new();
     for rule in ANALYSIS_RULES {
         active.insert(rule, 0);
         allowed.insert(rule, 0);
@@ -224,18 +215,6 @@ pub fn run(args: &[String]) -> ExitCode {
          {total_allowed} allowlisted, {wall:.2}s",
         ws.graph.fns.len()
     );
-    let now = Counts {
-        findings: active.clone(),
-        file_waivers: waiver_counts(&ws),
-    };
-    println!(
-        "xtask analyze: file-level waivers: {}",
-        now.file_waivers
-            .iter()
-            .map(|(rule, n)| format!("{rule} {n}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
 
     // Report.
     let report = render_analysis_report(&findings, &active, &allowed, wall);
@@ -257,13 +236,14 @@ pub fn run(args: &[String]) -> ExitCode {
     println!("xtask analyze: report written to {}", report_abs.display());
 
     // Baseline ratchet.
+    let counts = ratchet_counts(&active, &ws);
     let baseline_abs = if baseline_path.is_absolute() {
         baseline_path.clone()
     } else {
         root.join(&baseline_path)
     };
     if write_baseline {
-        let body = render_baseline(&now);
+        let body = render_baseline(&counts);
         if let Err(e) = fs::write(&baseline_abs, body) {
             eprintln!(
                 "xtask analyze: cannot write {}: {e}",
@@ -277,31 +257,34 @@ pub fn run(args: &[String]) -> ExitCode {
         );
         return ExitCode::SUCCESS;
     }
-    let baseline = match fs::read_to_string(&baseline_abs) {
-        Ok(s) => match parse_baseline(&s) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("xtask analyze: {}: {e}", baseline_abs.display());
-                return ExitCode::from(2);
-            }
-        },
+    let baseline = match fs::read_to_string(&baseline_abs).map(|s| parse_baseline(&s)) {
+        Ok(Ok(b)) => b,
+        Ok(Err(e)) => {
+            eprintln!("xtask analyze: {}: {e}", baseline_abs.display());
+            return ExitCode::from(2);
+        }
         Err(_) => {
             eprintln!(
                 "xtask analyze: no baseline at {} (run with --write-baseline to create one); \
                  treating all rules as baseline 0",
                 baseline_abs.display()
             );
-            Counts::default()
+            BTreeMap::new()
         }
     };
-    let (rose, fell) = ratchet(&now, &baseline);
-    for r in &rose {
-        eprintln!("xtask analyze: RATCHET — {r}");
+    let mut regressed = false;
+    for (key, now, base) in ratchet(&counts, &baseline) {
+        if now > base {
+            eprintln!("xtask analyze: RATCHET — `{key}` is {now}, baseline allows {base}");
+            regressed = true;
+        } else {
+            println!(
+                "xtask analyze: `{key}` improved to {now} (baseline {base}); \
+                 ratchet down with --write-baseline"
+            );
+        }
     }
-    for f in &fell {
-        println!("xtask analyze: {f}; ratchet down with --write-baseline");
-    }
-    if deny && !rose.is_empty() {
+    if deny && regressed {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
@@ -346,82 +329,53 @@ pub fn render_analysis_report(
     s
 }
 
-/// Files per rule that carry an `analysis:allow-file` waiver.
-pub fn waiver_counts(ws: &Workspace) -> BTreeMap<&'static str, usize> {
-    ANALYSIS_RULES
+/// The ratcheted counts, each of which may only fall: active findings
+/// under the rule's name, and under `file-waivers:<rule>` the files that
+/// waive the rule with `analysis:allow-file`.
+pub type Counts = BTreeMap<String, usize>;
+
+/// The [`Counts`] of a run.
+pub fn ratchet_counts(active: &BTreeMap<&str, usize>, ws: &Workspace) -> Counts {
+    let waivers =
+        ANALYSIS_RULES.map(|rule| (format!("file-waivers:{rule}"), ws.file_waivers(rule)));
+    active
         .iter()
-        .map(|&rule| (rule, ws.file_waivers(rule)))
+        .map(|(rule, n)| (rule.to_string(), *n))
+        .chain(waivers)
         .collect()
 }
 
-/// Compares `now` with the baseline. Returns one message per count
-/// that rose, which fails the ratchet, and one per count that fell.
-pub fn ratchet(now: &Counts, baseline: &Counts) -> (Vec<String>, Vec<String>) {
-    let (mut rose, mut fell) = (Vec::new(), Vec::new());
-    for (what, now, base) in [
-        ("active finding(s)", &now.findings, &baseline.findings),
-        (
-            "file-level waiver(s)",
-            &now.file_waivers,
-            &baseline.file_waivers,
-        ),
-    ] {
-        for rule in ANALYSIS_RULES {
-            let n = now.get(rule).copied().unwrap_or(0);
-            let b = base.get(rule).copied().unwrap_or(0);
-            if n > b {
-                rose.push(format!("rule `{rule}` has {n} {what}, baseline allows {b}"));
-            } else if n < b {
-                fell.push(format!(
-                    "rule `{rule}` improved to {n} {what} (baseline {b})"
-                ));
-            }
-        }
-    }
-    (rose, fell)
+/// Every count that differs from its baseline, as `(key, now, baseline)`;
+/// a key the baseline lacks counts as 0 there. A rise fails `--deny`.
+pub fn ratchet(counts: &Counts, baseline: &Counts) -> Vec<(String, usize, usize)> {
+    counts
+        .iter()
+        .map(|(key, &n)| (key.clone(), n, baseline.get(key).copied().unwrap_or(0)))
+        .filter(|(_, n, b)| n != b)
+        .collect()
 }
 
-/// Renders the committed baseline: per section, a rule -> count map.
+/// Renders the committed baseline: a flat key -> count map.
 pub fn render_baseline(counts: &Counts) -> String {
-    let section = |name: &str, map: &BTreeMap<&'static str, usize>| {
-        let rows: Vec<String> = map
-            .iter()
-            .map(|(rule, n)| format!("    \"{rule}\": {n}"))
-            .collect();
-        format!("  \"{name}\": {{\n{}\n  }}", rows.join(",\n"))
-    };
-    format!(
-        "{{\n{},\n{}\n}}\n",
-        section("findings", &counts.findings),
-        section("file_waivers", &counts.file_waivers)
-    )
+    let rows: Vec<String> = counts
+        .iter()
+        .map(|(key, n)| format!("  \"{key}\": {n}"))
+        .collect();
+    format!("{{\n{}\n}}\n", rows.join(",\n"))
 }
 
-/// Parses the baseline written by [`render_baseline`]. Rules it does not
-/// name count as 0.
+/// Parses the flat `"key": count` baseline [`render_baseline`] writes.
 pub fn parse_baseline(s: &str) -> Result<Counts, String> {
-    let doc = Json::parse(s)?;
-    let section = |name: &str| -> Result<BTreeMap<&'static str, usize>, String> {
-        let map = doc
-            .get(name)
-            .and_then(Json::as_object)
-            .ok_or(format!("no `{name}` object"))?;
-        let mut out = BTreeMap::new();
-        for rule in ANALYSIS_RULES {
-            if let Some(v) = map.get(rule) {
-                let n = v
-                    .as_f64()
-                    .filter(|n| *n >= 0.0 && n.fract() == 0.0)
-                    .ok_or(format!("`{name}.{rule}` is not a count"))?;
-                out.insert(rule, n as usize);
-            }
-        }
-        Ok(out)
+    let Json::Object(members) = Json::parse(s)? else {
+        return Err("the baseline is not a JSON object".into());
     };
-    Ok(Counts {
-        findings: section("findings")?,
-        file_waivers: section("file_waivers")?,
-    })
+    members
+        .into_iter()
+        .map(|(key, n)| match n.as_f64() {
+            Some(n) if n >= 0.0 && n.fract() == 0.0 => Ok((key, n as usize)),
+            _ => Err(format!("`{key}` is not a count")),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -627,16 +581,14 @@ mod tests {
 
     #[test]
     fn baseline_round_trip() {
-        let mut counts = Counts::default();
+        let mut counts = Counts::new();
         for rule in ANALYSIS_RULES {
-            counts.findings.insert(rule, 0);
-            counts.file_waivers.insert(rule, 0);
+            counts.insert(rule.to_string(), 0);
         }
-        counts.findings.insert(RULE_PANIC, 3);
-        counts.file_waivers.insert(RULE_ALLOC, 19);
-        let parsed = parse_baseline(&render_baseline(&counts)).unwrap();
-        assert_eq!(parsed, counts);
-        assert!(parse_baseline("{\"findings\": {}}").is_err());
+        counts.insert(RULE_PANIC.to_string(), 3);
+        counts.insert(format!("file-waivers:{RULE_ALLOC}"), 19);
+        assert_eq!(parse_baseline(&render_baseline(&counts)), Ok(counts));
+        assert!(parse_baseline("{\"lock-order\": -1}").is_err());
     }
 
     /// The committed baseline holds the tree's waiver counts, and one
@@ -646,24 +598,18 @@ mod tests {
         let root = crate::workspace_root();
         let baseline =
             parse_baseline(&fs::read_to_string(root.join(BASELINE_PATH)).unwrap()).unwrap();
+        let no_findings: BTreeMap<&str, usize> = ANALYSIS_RULES.map(|r| (r, 0)).into();
         let mut sources = workspace_sources(&root).expect("workspace sources readable");
-        let counts = |sources: Vec<(String, String)>| Counts {
-            findings: baseline.findings.clone(),
-            file_waivers: waiver_counts(&Workspace::from_sources(sources)),
-        };
-        let (rose, _) = ratchet(&counts(sources.clone()), &baseline);
-        assert!(
-            rose.is_empty(),
-            "the tree already exceeds the baseline: {rose:?}"
-        );
+        let counts = |sources| ratchet_counts(&no_findings, &Workspace::from_sources(sources));
+        assert_eq!(ratchet(&counts(sources.clone()), &baseline), vec![]);
 
         sources.push((
             "crates/core/src/waived.rs".into(),
             "// analysis:allow-file(panic-free-control-path): one more\n".into(),
         ));
-        let (rose, _) = ratchet(&counts(sources), &baseline);
-        assert_eq!(rose.len(), 1, "{rose:?}");
-        assert!(rose[0].contains(RULE_PANIC) && rose[0].contains("file-level waiver"));
+        let key = format!("file-waivers:{RULE_PANIC}");
+        let n = baseline[&key];
+        assert_eq!(ratchet(&counts(sources), &baseline), vec![(key, n + 1, n)]);
     }
 
     #[test]

@@ -18,7 +18,6 @@
 //! built or parsed.
 
 use crate::json::Json;
-use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode, Stdio};
@@ -29,257 +28,106 @@ use tesla_linalg::stats::quantile;
 /// for a median comparison.
 pub const PAIRS: u64 = 10;
 
-/// One end-to-end metric as `BENCHMARK.json` declares it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Metric {
-    /// Name in perfbench's result line.
-    pub name: String,
-    /// `"better": "lower"`; otherwise higher is better.
-    pub lower_is_better: bool,
+/// One `end_to_end` metric of `BENCHMARK.json`.
+struct Metric {
+    name: String,
+    lower_is_better: bool,
     /// Largest tolerated worsening of the median, as a fraction.
-    pub bound: f64,
+    bound: f64,
 }
 
 /// What the gate reads from `BENCHMARK.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Spec {
-    /// `workloads[].name`, in file order.
-    pub workloads: Vec<String>,
-    /// Seconds per run, the same on both sides.
-    pub run_seconds: f64,
-    /// `end_to_end[]`, in file order.
-    pub metrics: Vec<Metric>,
+struct Spec {
+    workloads: Vec<String>,
+    run_seconds: f64,
+    metrics: Vec<Metric>,
 }
 
-impl Spec {
-    /// Parses the body of a `BENCHMARK.json`.
-    pub fn parse(text: &str) -> Result<Spec, String> {
-        let doc = Json::parse(text)?;
-        let list = |key: &str| {
-            doc.get(key)
-                .and_then(Json::as_array)
-                .ok_or(format!("BENCHMARK.json: no `{key}` array"))
-        };
-        let workloads = list("workloads")?
-            .iter()
-            .map(|w| {
-                w.get("name")
-                    .and_then(Json::as_str)
-                    .map(str::to_string)
-                    .ok_or("BENCHMARK.json: a workload has no `name`".to_string())
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let run_seconds = doc
-            .get("run_seconds")
-            .and_then(Json::as_f64)
-            .filter(|s| *s > 0.0)
-            .ok_or("BENCHMARK.json: no positive `run_seconds`")?;
-        let metrics = list("end_to_end")?
-            .iter()
-            .map(|m| {
-                let name = m.get("name").and_then(Json::as_str);
-                let better = m.get("better").and_then(Json::as_str);
-                let bound = m.get("bound").and_then(Json::as_f64);
-                match (name, better, bound) {
-                    (Some(name), Some(better @ ("lower" | "higher")), Some(bound)) => Ok(Metric {
-                        name: name.to_string(),
-                        lower_is_better: better == "lower",
-                        bound,
-                    }),
-                    _ => Err(format!(
-                        "BENCHMARK.json: end-to-end metric {name:?} needs `name`, \
-                         `better` (lower or higher) and `bound`"
-                    )),
-                }
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        if workloads.is_empty() || metrics.is_empty() {
-            return Err("BENCHMARK.json: no workloads or no end-to-end metrics".into());
-        }
-        Ok(Spec {
-            workloads,
-            run_seconds,
-            metrics,
+fn parse_spec(text: &str) -> Result<Spec, String> {
+    spec_of(&Json::parse(text)?).ok_or_else(|| {
+        "BENCHMARK.json needs a positive `run_seconds`, named `workloads` and `end_to_end` \
+         metrics with `name`, `better` (lower or higher) and `bound`"
+            .into()
+    })
+}
+
+/// `None` unless every field the gate reads is there and well formed.
+fn spec_of(doc: &Json) -> Option<Spec> {
+    let list = |key| doc.get(key)?.as_array();
+    let name = |v: &Json| v.get("name")?.as_str().map(str::to_string);
+    let metric = |m: &Json| {
+        Some(Metric {
+            name: name(m)?,
+            lower_is_better: match m.get("better")?.as_str()? {
+                "lower" => true,
+                "higher" => false,
+                _ => return None,
+            },
+            bound: m.get("bound")?.as_f64()?,
         })
-    }
+    };
+    let spec = Spec {
+        workloads: list("workloads")?.iter().map(name).collect::<Option<_>>()?,
+        run_seconds: doc.get("run_seconds")?.as_f64().filter(|s| *s > 0.0)?,
+        metrics: list("end_to_end")?
+            .iter()
+            .map(metric)
+            .collect::<Option<_>>()?,
+    };
+    (!spec.workloads.is_empty() && !spec.metrics.is_empty()).then_some(spec)
 }
 
-/// Which commit a run measured.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Side {
-    /// `<base-rev>`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Side {
     Base,
-    /// `HEAD`.
     Head,
 }
 
-impl Side {
-    fn label(self) -> &'static str {
-        match self {
-            Side::Base => "base",
-            Side::Head => "HEAD",
-        }
+/// One perfbench run: its parsed result line, `{"correct", "attempted",
+/// "failed", "metrics": {<name>: {"value", "unit"}}}`, is `None` when a
+/// failed run printed none.
+struct Run {
+    side: Side,
+    workload: String,
+    seed: u64,
+    exit_ok: bool,
+    result: Option<Json>,
+}
+
+impl Run {
+    fn correct(&self) -> Option<bool> {
+        self.result.as_ref()?.get("correct")?.as_bool()
     }
 }
 
-/// perfbench's last output line: `{"correct", "attempted", "failed",
-/// "metrics": {<name>: {"value", "unit"}}}`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunResult {
-    /// The run's output checks passed and every metric is finite.
-    pub correct: bool,
-    /// Operations attempted.
-    pub attempted: f64,
-    /// Operations that failed.
-    pub failed: f64,
-    /// Metric values by name; `null` reads as NaN.
-    pub metrics: BTreeMap<String, f64>,
-}
-
-impl RunResult {
-    /// Parses one result line.
-    pub fn parse(line: &str) -> Result<RunResult, String> {
-        let doc = Json::parse(line)?;
-        let number = |key: &str| {
-            doc.get(key)
-                .and_then(Json::as_f64)
-                .ok_or(format!("result line: no number `{key}`"))
-        };
-        let correct = doc
-            .get("correct")
-            .and_then(Json::as_bool)
-            .ok_or("result line: no boolean `correct`")?;
-        let mut metrics = BTreeMap::new();
-        for (name, m) in doc
-            .get("metrics")
-            .and_then(Json::as_object)
-            .ok_or("result line: no `metrics` object")?
-        {
-            let value = match m.get("value") {
-                Some(Json::Null) => f64::NAN,
-                Some(Json::Number(v)) => *v,
-                _ => return Err(format!("result line: metric `{name}` has no value")),
-            };
-            metrics.insert(name.clone(), value);
-        }
-        Ok(RunResult {
-            correct,
-            attempted: number("attempted")?,
-            failed: number("failed")?,
-            metrics,
-        })
-    }
-}
-
-/// One perfbench run as recorded.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Run {
-    /// The commit it measured.
-    pub side: Side,
-    /// The workload it ran.
-    pub workload: String,
-    /// Its `--seed`, which is also its pair number.
-    pub seed: u64,
-    /// The process exited 0.
-    pub exit_ok: bool,
-    /// Its parsed result line; `None` when a failed run printed none.
-    pub result: Option<RunResult>,
-}
-
-/// A side's median and quartiles of one metric.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Quartiles {
-    /// 25th percentile.
-    pub q1: f64,
-    /// Median.
-    pub median: f64,
-    /// 75th percentile.
-    pub q3: f64,
-}
-
-impl Quartiles {
-    fn of(values: &[f64]) -> Quartiles {
-        Quartiles {
-            q1: quantile(values, 0.25),
-            median: quantile(values, 0.5),
-            q3: quantile(values, 0.75),
-        }
-    }
-}
-
-/// One workload × metric comparison.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Row {
-    /// Workload name.
-    pub workload: String,
-    /// The metric and its bound.
-    pub metric: Metric,
-    /// Base runs.
-    pub base: Quartiles,
-    /// HEAD runs.
-    pub head: Quartiles,
-    /// How much worse HEAD's median is than the base median, as a
-    /// fraction of it: positive is worse, in either `better` direction.
-    pub worse_by: f64,
-    /// `worse_by` exceeds the bound (or is not a number).
-    pub regressed: bool,
-    /// The base quartile spread exceeds the bound, so the base runs
-    /// alone spread too widely for the comparison to tell.
-    pub unresolved: bool,
-}
-
-/// The gate's decision over a set of runs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Verdict {
-    /// One row per workload × metric.
-    pub rows: Vec<Row>,
-    /// Every reason the gate fails; empty on a pass.
-    pub failures: Vec<String>,
-}
-
-/// Relative distance from `base` to `head` in the direction that is
-/// worse for the metric: positive when HEAD is worse.
-fn worse_by(lower_is_better: bool, base: f64, head: f64) -> f64 {
-    let worse = if lower_is_better {
-        head - base
-    } else {
-        base - head
-    };
-    if base == 0.0 {
-        if worse > 0.0 {
-            f64::INFINITY
-        } else {
-            0.0
-        }
-    } else {
-        worse / base.abs()
-    }
-}
-
-/// Judges recorded runs against the spec's bounds.
-pub fn judge(spec: &Spec, runs: &[Run]) -> Verdict {
+/// Judges recorded runs against the spec's bounds. Returns the table,
+/// one row per workload × metric, and every reason the gate fails.
+fn judge(spec: &Spec, runs: &[Run]) -> (String, Vec<String>) {
     let mut failures = Vec::new();
-    for run in runs {
-        let what = format!("{} {} seed {}", run.workload, run.side.label(), run.seed);
-        if !run.exit_ok {
+    for r in runs {
+        let what = format!("{} {:?} seed {}", r.workload, r.side, r.seed);
+        if !r.exit_ok {
             failures.push(format!("{what}: perfbench exited non-zero"));
         }
-        if run.result.as_ref().is_some_and(|r| !r.correct) {
+        if r.correct() == Some(false) {
             failures.push(format!("{what}: result line reports \"correct\": false"));
         }
     }
-    let mut rows = Vec::new();
+    let mut table = format!(
+        "{:<12} {:<19} {:<30} {:<30} {:>8} {:>6}  verdict\n",
+        "workload", "metric", "base median [q1, q3]", "HEAD median [q1, q3]", "change", "bound"
+    );
     for workload in &spec.workloads {
-        let results = |side: Side| -> Vec<&RunResult> {
+        let results = |side| -> Vec<&Json> {
             runs.iter()
                 .filter(|r| r.side == side && &r.workload == workload)
                 .filter_map(|r| r.result.as_ref())
                 .collect()
         };
         let (base, head) = (results(Side::Base), results(Side::Head));
-        let failed_share = |rs: &[&RunResult]| {
-            let attempted: f64 = rs.iter().map(|r| r.attempted).sum();
-            rs.iter().map(|r| r.failed).sum::<f64>() / attempted.max(1.0)
+        let failed_share = |rs: &[&Json]| {
+            let sum = |key| rs.iter().filter_map(|r| r.get(key)?.as_f64()).sum::<f64>();
+            sum("failed") / sum("attempted").max(1.0)
         };
         let (base_share, head_share) = (failed_share(&base), failed_share(&head));
         if head_share > base_share {
@@ -287,79 +135,51 @@ pub fn judge(spec: &Spec, runs: &[Run]) -> Verdict {
                 "{workload}: HEAD failed share {head_share:.3e} exceeds the base's {base_share:.3e}"
             ));
         }
-        for metric in &spec.metrics {
-            let values = |rs: &[&RunResult]| -> Vec<f64> {
-                rs.iter()
-                    .filter_map(|r| r.metrics.get(&metric.name).copied())
-                    .filter(|v| v.is_finite())
-                    .collect()
+        for m in &spec.metrics {
+            let quartiles = |rs: &[&Json]| {
+                let values: Vec<f64> = rs
+                    .iter()
+                    .filter_map(|r| r.get("metrics")?.get(&m.name)?.get("value")?.as_f64())
+                    .collect();
+                [0.25, 0.5, 0.75].map(|q| quantile(&values, q))
             };
-            let (b, h) = (Quartiles::of(&values(&base)), Quartiles::of(&values(&head)));
-            let worse = worse_by(metric.lower_is_better, b.median, h.median);
-            let regressed = worse.is_nan() || worse > metric.bound;
+            let (b, h) = (quartiles(&base), quartiles(&head));
+            let change = (h[1] - b[1]) / b[1].abs().max(f64::MIN_POSITIVE);
+            let worse = if m.lower_is_better { change } else { -change };
+            let regressed = worse.is_nan() || worse > m.bound;
             if regressed {
+                let (name, pct, bound) = (&m.name, worse * 100.0, m.bound * 100.0);
                 failures.push(format!(
-                    "{workload} {}: HEAD's median is {:.1}% worse than the base's, bound {:.0}%",
-                    metric.name,
-                    worse * 100.0,
-                    metric.bound * 100.0
+                    "{workload} {name}: HEAD's median is {pct:.1}% worse, bound {bound:.0}%"
                 ));
             }
-            rows.push(Row {
-                workload: workload.clone(),
-                metric: metric.clone(),
-                base: b,
-                head: h,
-                worse_by: worse,
-                regressed,
-                unresolved: (b.q3 - b.q1) / b.median.abs() > metric.bound,
-            });
+            // The base runs alone spread wider than the bound, so a move
+            // of that size cannot be told from noise.
+            let unresolved = (b[2] - b[0]) / b[1].abs() > m.bound;
+            let side = |q: [f64; 3]| format!("{} [{}, {}]", num(q[1]), num(q[0]), num(q[2]));
+            table.push_str(&format!(
+                "{workload:<12} {:<19} {:<30} {:<30} {:>+7.1}% {:>+5.0}%  {}{}\n",
+                m.name,
+                side(b),
+                side(h),
+                change * 100.0,
+                if m.lower_is_better { 1.0 } else { -1.0 } * m.bound * 100.0,
+                if regressed { "REGRESSED" } else { "ok" },
+                if unresolved { " unresolved" } else { "" },
+            ));
         }
     }
-    Verdict { rows, failures }
+    (table, failures)
 }
 
 /// A value in at most a dozen columns with about four significant digits.
 fn num(v: f64) -> String {
-    let a = v.abs();
-    if !v.is_finite() {
-        "nan".into()
-    } else if a >= 1e5 {
-        format!("{v:.3e}")
-    } else if a >= 100.0 {
-        format!("{v:.1}")
-    } else if a >= 1.0 {
-        format!("{v:.3}")
-    } else {
-        format!("{v:.4}")
+    match v.abs() {
+        a if a >= 1e5 => format!("{v:.3e}"),
+        a if a >= 100.0 => format!("{v:.1}"),
+        a if a >= 1.0 => format!("{v:.3}"),
+        _ => format!("{v:.4}"),
     }
-}
-
-/// The verdict as a table, one row per workload × metric.
-pub fn render(verdict: &Verdict) -> String {
-    let side = |q: &Quartiles| format!("{} [{}, {}]", num(q.median), num(q.q1), num(q.q3));
-    let mut out = format!(
-        "{:<12} {:<19} {:<30} {:<30} {:>8} {:>6}  verdict\n",
-        "workload", "metric", "base median [q1, q3]", "HEAD median [q1, q3]", "change", "bound"
-    );
-    for r in &verdict.rows {
-        let sign = if r.metric.lower_is_better { 1.0 } else { -1.0 };
-        let change = (r.head.median - r.base.median) / r.base.median.abs();
-        let mut verdict = if r.regressed { "REGRESSED" } else { "ok" }.to_string();
-        if r.unresolved {
-            verdict.push_str(" unresolved");
-        }
-        out.push_str(&format!(
-            "{:<12} {:<19} {:<30} {:<30} {:>+7.1}% {:>+5.0}%  {verdict}\n",
-            r.workload,
-            r.metric.name,
-            side(&r.base),
-            side(&r.head),
-            change * 100.0,
-            sign * r.metric.bound * 100.0,
-        ));
-    }
-    out
 }
 
 /// Entry point for `cargo xtask bench-ab`.
@@ -375,16 +195,13 @@ pub fn run(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let verdict = judge(&spec, &runs);
-    print!("{}", render(&verdict));
-    for f in &verdict.failures {
+    let (table, failures) = judge(&spec, &runs);
+    print!("{table}");
+    for f in &failures {
         eprintln!("xtask bench-ab: FAIL — {f}");
     }
-    if verdict.failures.is_empty() {
-        println!(
-            "xtask bench-ab: every median within its bound over {} workload(s) x {PAIRS} pairs",
-            spec.workloads.len()
-        );
+    if failures.is_empty() {
+        println!("xtask bench-ab: every median within its bound over {PAIRS} pairs");
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
@@ -397,11 +214,8 @@ fn measure(root: &Path, base_rev: &str) -> Result<(Spec, Vec<Run>), String> {
     let head = rev_parse(root, "HEAD")?;
     let base = rev_parse(root, base_rev)?;
     let head_tree = prepare(root, &head, &head)?;
-    let spec_path = head_tree.join("BENCHMARK.json");
-    let spec = Spec::parse(
-        &fs::read_to_string(&spec_path)
-            .map_err(|e| format!("cannot read {}: {e}", spec_path.display()))?,
-    )?;
+    let spec = fs::read_to_string(head_tree.join("BENCHMARK.json"));
+    let spec = parse_spec(&spec.map_err(|e| format!("cannot read BENCHMARK.json: {e}"))?)?;
     build(&head_tree).map_err(|e| format!("HEAD {head} does not build its benchmark: {e}"))?;
     let base_tree = if base == head {
         head_tree.clone()
@@ -410,23 +224,18 @@ fn measure(root: &Path, base_rev: &str) -> Result<(Spec, Vec<Run>), String> {
         build(&tree).map_err(|e| format!("base {base} cannot build HEAD's benchmark: {e}"))?;
         tree
     };
+    let (trees, secs) = ([base_tree, head_tree], spec.run_seconds);
 
     let mut runs = Vec::new();
     for seed in 1..=PAIRS {
-        let order = if seed % 2 == 1 {
-            [Side::Base, Side::Head]
-        } else {
-            [Side::Head, Side::Base]
-        };
+        let mut order = [Side::Base, Side::Head];
+        if seed % 2 == 0 {
+            order.reverse();
+        }
         for workload in &spec.workloads {
             for side in order {
-                let tree = if side == Side::Base {
-                    &base_tree
-                } else {
-                    &head_tree
-                };
-                let run = run_once(tree, side, workload, seed, spec.run_seconds)?;
-                let broken = !run.exit_ok || run.result.as_ref().is_some_and(|r| !r.correct);
+                let run = run_once(&trees[side as usize], side, workload, seed, secs)?;
+                let broken = !run.exit_ok || run.correct() == Some(false);
                 runs.push(run);
                 if broken {
                     return Ok((spec, runs));
@@ -453,13 +262,13 @@ fn rev_parse(root: &Path, rev: &str) -> Result<String, String> {
     }
 }
 
-/// Extracts `paths` of `commit` (everything when empty) into `dest`.
-fn extract(root: &Path, commit: &str, paths: &[&str], dest: &Path) -> Result<(), String> {
+/// Extracts the files of `commit` that `pathspecs` select into `dest`.
+fn extract(root: &Path, commit: &str, pathspecs: &[String], dest: &Path) -> Result<(), String> {
     let mut git = Command::new("git")
         .arg("-C")
         .arg(root)
-        .args(["archive", "--format=tar", commit])
-        .args(paths)
+        .args(["archive", "--format=tar", commit, "--"])
+        .args(pathspecs)
         .stdout(Stdio::piped())
         .spawn()
         .map_err(|e| format!("cannot run git archive: {e}"))?;
@@ -477,10 +286,11 @@ fn extract(root: &Path, commit: &str, paths: &[&str], dest: &Path) -> Result<(),
     }
 }
 
-/// A fresh `target/bench-ab/<commit>/` tree holding `commit` with
-/// HEAD's benchmark laid over it. Each run rebuilds from scratch: the
-/// extracted files carry their commit's time, which cargo would not
-/// see as newer than an earlier build of a different overlay.
+/// A fresh `target/bench-ab/<commit>/` tree: `commit` without its
+/// benchmark, and HEAD's `perfbench/` and `BENCHMARK.json`. Each run
+/// rebuilds from scratch: the extracted files carry their commit's time,
+/// which cargo would not see as newer than an earlier build of a
+/// different overlay.
 fn prepare(root: &Path, commit: &str, head: &str) -> Result<PathBuf, String> {
     let tree = root.join("target/bench-ab").join(commit);
     let io = |e: std::io::Error| format!("cannot prepare {}: {e}", tree.display());
@@ -488,19 +298,10 @@ fn prepare(root: &Path, commit: &str, head: &str) -> Result<PathBuf, String> {
         fs::remove_dir_all(&tree).map_err(io)?;
     }
     fs::create_dir_all(&tree).map_err(io)?;
-    extract(root, commit, &[], &tree)?;
-    if commit != head {
-        for gone in [
-            fs::remove_dir_all(tree.join("perfbench")),
-            fs::remove_file(tree.join("BENCHMARK.json")),
-        ] {
-            match gone {
-                Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(io(e)),
-                _ => {}
-            }
-        }
-        extract(root, head, &["perfbench", "BENCHMARK.json"], &tree)?;
-    }
+    let benchmark = ["perfbench", "BENCHMARK.json"].map(str::to_string);
+    let rest = benchmark.clone().map(|p| format!(":(exclude){p}"));
+    extract(root, commit, &rest, &tree)?;
+    extract(root, head, &benchmark, &tree)?;
     Ok(tree)
 }
 
@@ -522,46 +323,29 @@ fn build(tree: &Path) -> Result<(), String> {
 
 /// Runs one workload from `tree` (tlp-mixed keeps its WAL under
 /// `perfbench/.work` relative to the working directory).
-fn run_once(
-    tree: &Path,
-    side: Side,
-    workload: &str,
-    seed: u64,
-    seconds: f64,
-) -> Result<Run, String> {
+fn run_once(tree: &Path, side: Side, workload: &str, seed: u64, secs: f64) -> Result<Run, String> {
     let started = Instant::now();
     let out = Command::new(tree.join("perfbench/target/release/tesla-perfbench"))
         .args(["--workload", workload, "--seed", &seed.to_string()])
-        .args(["--seconds", &seconds.to_string(), "--trace", "0"])
+        .args(["--seconds", &secs.to_string(), "--trace", "0"])
         .current_dir(tree)
+        .stderr(Stdio::inherit())
         .output()
-        .map_err(|e| format!("cannot run {}'s perfbench: {e}", side.label()))?;
+        .map_err(|e| format!("cannot run {side:?}'s perfbench: {e}"))?;
+    let what = format!("pair {seed:>2} {workload:<12} {side:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    let last = stdout
-        .lines()
-        .rev()
-        .find(|l| !l.trim().is_empty())
-        .unwrap_or("");
-    let result = match RunResult::parse(last) {
-        Ok(r) => Some(r),
-        Err(e) if out.status.success() => {
-            return Err(format!("{workload} {} seed {seed}: {e}", side.label()))
-        }
-        Err(_) => None,
-    };
+    let last = stdout.lines().rev().find(|l| !l.trim().is_empty());
+    let result = Json::parse(last.unwrap_or(""))
+        .ok()
+        .filter(|j| j.get("correct").and_then(Json::as_bool).is_some());
+    if out.status.success() && result.is_none() {
+        return Err(format!("{what}: the last line is no result line"));
+    }
     eprintln!(
-        "xtask bench-ab: pair {seed:>2} {workload:<12} {:<4} {} in {:.1} s",
-        side.label(),
+        "xtask bench-ab: {what} {} in {:.1} s",
         if out.status.success() { "ok" } else { "FAILED" },
         started.elapsed().as_secs_f64()
     );
-    if !out.status.success() {
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        let tail: Vec<&str> = stderr.lines().rev().take(20).collect();
-        for line in tail.iter().rev() {
-            eprintln!("  | {line}");
-        }
-    }
     Ok(Run {
         side,
         workload: workload.to_string(),
@@ -575,167 +359,109 @@ fn run_once(
 mod tests {
     use super::*;
 
-    const SPEC: &str = r#"{
-        "run_seconds": 15,
-        "workloads": [{"name": "zone-tesla", "why": "—"}],
+    const SPEC: &str = r#"{"run_seconds": 15, "workloads": [{"name": "zone-tesla"}],
         "end_to_end": [
-            {"name": "throughput_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
-            {"name": "latency_p90_ms", "unit": "ms", "better": "lower", "bound": 0.25}
-        ]
-    }"#;
+            {"name": "throughput_per_s", "better": "higher", "bound": 0.25},
+            {"name": "latency_p90_ms", "better": "lower", "bound": 0.25}]}"#;
 
-    /// A recorded result line with the given metric values.
-    fn line(correct: bool, failed: u32, throughput: f64, p90: f64) -> String {
-        format!(
+    /// A run with a recorded result line.
+    fn run(side: Side, seed: u64, correct: bool, failed: u32, throughput: f64, p90: f64) -> Run {
+        let line = format!(
             "{{\"correct\": {correct}, \"attempted\": 1000, \"failed\": {failed}, \"metrics\": \
              {{\"throughput_per_s\": {{\"value\": {throughput}, \"unit\": \"1/s\"}}, \
              \"latency_p90_ms\": {{\"value\": {p90}, \"unit\": \"ms\"}}}}}}"
-        )
-    }
-
-    fn run(side: Side, seed: u64, exit_ok: bool, line: &str) -> Run {
+        );
         Run {
             side,
             workload: "zone-tesla".into(),
             seed,
-            exit_ok,
-            result: Some(RunResult::parse(line).expect("recorded line parses")),
+            exit_ok: true,
+            result: Some(Json::parse(&line).unwrap()),
         }
     }
 
-    /// Ten pairs: the base at 244/s and 5.16 ms with a little spread,
-    /// HEAD's throughput and p90 scaled by the given factors.
-    fn pairs(throughput_factor: f64, p90_factor: f64) -> Vec<Run> {
-        let mut runs = Vec::new();
-        for seed in 1..=PAIRS {
-            let jitter = 1.0 + (seed % 3) as f64 * 0.01;
-            let (t, p) = (244.0 * jitter, 5.16 * jitter);
-            runs.push(run(Side::Base, seed, true, &line(true, 0, t, p)));
-            runs.push(run(
-                Side::Head,
-                seed,
-                true,
-                &line(true, 0, t * throughput_factor, p * p90_factor),
-            ));
-        }
-        runs
+    /// Ten pairs around 244/s and 5.16 ms, spread by up to twice
+    /// `spread`, with HEAD's throughput and p90 scaled by the factors.
+    fn pairs(spread: f64, throughput_factor: f64, p90_factor: f64) -> Vec<Run> {
+        (1..=PAIRS)
+            .flat_map(|seed| {
+                let jitter = 1.0 + (seed % 3) as f64 * spread;
+                let (t, p) = (244.0 * jitter, 5.16 * jitter);
+                let head = (t * throughput_factor, p * p90_factor);
+                [
+                    run(Side::Base, seed, true, 0, t, p),
+                    run(Side::Head, seed, true, 0, head.0, head.1),
+                ]
+            })
+            .collect()
     }
 
-    fn judge_spec(runs: &[Run]) -> Verdict {
-        judge(&Spec::parse(SPEC).unwrap(), runs)
+    fn judge_spec(runs: &[Run]) -> (String, Vec<String>) {
+        judge(&parse_spec(SPEC).unwrap(), runs)
     }
 
     #[test]
-    fn committed_benchmark_json_parses() {
+    fn benchmark_json_parses_and_malformed_specs_do_not() {
         let text = fs::read_to_string(crate::workspace_root().join("BENCHMARK.json")).unwrap();
-        let spec = Spec::parse(&text).unwrap();
-        assert!(spec.workloads.contains(&"zone-tesla".to_string()));
-        assert!(spec.run_seconds > 0.0);
-        let p90 = spec
-            .metrics
-            .iter()
-            .find(|m| m.name == "latency_p90_ms")
-            .unwrap();
-        assert!(p90.lower_is_better && p90.bound > 0.0);
+        let spec = parse_spec(&text).unwrap();
+        assert!(spec.workloads.contains(&"zone-tesla".to_string()) && spec.run_seconds > 0.0);
+        let p90 = spec.metrics.iter().find(|m| m.name == "latency_p90_ms");
+        assert!(p90.is_some_and(|m| m.lower_is_better && m.bound > 0.0));
+        assert!(parse_spec(&SPEC.replace("\"higher\"", "\"up\"")).is_err());
+        assert!(parse_spec("{\"run_seconds\": 15}").is_err());
     }
 
+    /// No move, a move the better way however far, and a move inside the
+    /// bound all pass.
     #[test]
-    fn spec_without_a_direction_is_rejected() {
-        let bad = SPEC.replace("\"higher\"", "\"up\"");
-        assert!(Spec::parse(&bad).is_err());
-        assert!(Spec::parse("{\"run_seconds\": 15}").is_err());
+    fn moves_within_the_bound_or_the_better_way_pass() {
+        for (t, p) in [(1.0, 1.0), (1.5, 0.5), (0.8, 1.2)] {
+            let (table, failures) = judge_spec(&pairs(0.01, t, p));
+            assert!(failures.is_empty(), "{failures:?}");
+            assert_eq!(table.lines().filter(|l| l.ends_with("  ok")).count(), 2);
+        }
     }
 
-    #[test]
-    fn identical_sides_pass() {
-        let v = judge_spec(&pairs(1.0, 1.0));
-        assert!(v.failures.is_empty(), "{:?}", v.failures);
-        assert_eq!(v.rows.len(), 2);
-        assert!(v.rows.iter().all(|r| !r.regressed && !r.unresolved));
-        assert!(render(&v).contains("zone-tesla   throughput_per_s"));
-    }
-
-    /// A 1.5x slower decide: throughput falls a third and p90 rises
-    /// half, and both directions are caught.
+    /// A 1.5x slower decide: throughput falls a third and p90 rises by
+    /// half, and both `better` directions catch it.
     #[test]
     fn slowdown_fails_in_both_directions() {
-        let v = judge_spec(&pairs(1.0 / 1.5, 1.5));
-        assert!(v.rows.iter().all(|r| r.regressed));
-        assert_eq!(v.failures.len(), 2);
-        assert!(v.failures[0].contains("throughput_per_s"));
-        assert!(v.failures[1].contains("latency_p90_ms"));
-        assert!(render(&v).contains("REGRESSED"));
-    }
-
-    /// Moving the better way passes however far it moves, and a move
-    /// inside the bound passes too.
-    #[test]
-    fn improvements_and_moves_inside_the_bound_pass() {
-        assert!(judge_spec(&pairs(1.5, 0.5)).failures.is_empty());
-        assert!(judge_spec(&pairs(0.8, 1.2)).failures.is_empty());
+        let (table, failures) = judge_spec(&pairs(0.01, 1.0 / 1.5, 1.5));
+        assert_eq!(table.matches("REGRESSED").count(), 2);
+        assert_eq!(failures.len(), 2);
+        assert!(failures[0].contains("throughput_per_s"));
+        assert!(failures[1].contains("latency_p90_ms"));
     }
 
     #[test]
-    fn correct_false_fails() {
-        let mut runs = pairs(1.0, 1.0);
-        runs[3] = run(Side::Head, 2, true, &line(false, 0, 244.0, 5.16));
-        let v = judge_spec(&runs);
-        assert_eq!(v.failures.len(), 1);
-        assert!(v.failures[0].contains("\"correct\": false"));
-    }
-
-    #[test]
-    fn nonzero_exit_fails_even_without_a_result_line() {
-        let mut runs = pairs(1.0, 1.0);
+    fn correct_false_and_a_nonzero_exit_fail() {
+        let mut runs = pairs(0.01, 1.0, 1.0);
+        runs[3] = run(Side::Head, 2, false, 0, 244.0, 5.16);
         runs[5].exit_ok = false;
         runs[5].result = None;
-        let v = judge_spec(&runs);
-        assert_eq!(v.failures.len(), 1);
-        assert!(v.failures[0].contains("exited non-zero"));
+        let (_, failures) = judge_spec(&runs);
+        assert_eq!(failures.len(), 2, "{failures:?}");
+        assert!(failures[0].contains("\"correct\": false"));
+        assert!(failures[1].contains("exited non-zero"));
     }
 
     #[test]
     fn higher_failed_share_fails_and_an_equal_one_passes() {
-        let mut runs = pairs(1.0, 1.0);
-        runs[1] = run(Side::Head, 1, true, &line(true, 3, 244.0, 5.16));
-        let v = judge_spec(&runs);
-        assert_eq!(v.failures.len(), 1);
-        assert!(v.failures[0].contains("failed share"));
-        runs[0] = run(Side::Base, 1, true, &line(true, 3, 244.0, 5.16));
-        assert!(judge_spec(&runs).failures.is_empty());
+        let mut runs = pairs(0.01, 1.0, 1.0);
+        runs[1] = run(Side::Head, 1, true, 3, 244.0, 5.16);
+        let (_, failures) = judge_spec(&runs);
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].contains("failed share"));
+        runs[0] = run(Side::Base, 1, true, 3, 244.0, 5.16);
+        assert!(judge_spec(&runs).1.is_empty());
     }
 
     /// A base whose quartiles spread wider than the bound cannot tell a
-    /// move of that size: the row says so and still passes.
+    /// move of that size: the rows say so and still pass.
     #[test]
     fn wide_base_spread_is_unresolved() {
-        let mut runs = Vec::new();
-        for seed in 1..=PAIRS {
-            let t = if seed % 2 == 0 { 150.0 } else { 300.0 };
-            runs.push(run(Side::Base, seed, true, &line(true, 0, t, 5.16)));
-            runs.push(run(Side::Head, seed, true, &line(true, 0, t, 5.16)));
-        }
-        let v = judge_spec(&runs);
-        assert!(v.failures.is_empty());
-        let throughput = v
-            .rows
-            .iter()
-            .find(|r| r.metric.name == "throughput_per_s")
-            .unwrap();
-        assert!(throughput.unresolved);
-        assert!(render(&v).contains("ok unresolved"));
-    }
-
-    #[test]
-    fn null_metric_values_read_as_nan_and_fail_the_comparison() {
-        let r = RunResult::parse(
-            "{\"correct\": false, \"attempted\": 1, \"failed\": 0, \
-             \"metrics\": {\"latency_p90_ms\": {\"value\": null, \"unit\": \"ms\"}}}",
-        )
-        .unwrap();
-        assert!(r.metrics["latency_p90_ms"].is_nan());
-        assert!(RunResult::parse("workload zone-tesla seed 1").is_err());
-        assert_eq!(worse_by(true, 0.0, 0.0), 0.0);
-        assert!(worse_by(true, f64::NAN, 1.0).is_nan());
+        let (table, failures) = judge_spec(&pairs(0.3, 1.0, 1.0));
+        assert!(failures.is_empty());
+        assert_eq!(table.matches("ok unresolved").count(), 2);
     }
 }

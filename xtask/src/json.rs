@@ -1,40 +1,31 @@
 //! A small JSON reader for what xtask parses: `BENCHMARK.json`,
 //! perfbench's result line and `analysis-baseline.json` (the workspace
 //! has no serde). It reads objects, arrays, strings, numbers, booleans
-//! and `null`.
+//! and `null`; the only string escapes it knows are `\"`, `\\` and `\/`.
 
 use std::collections::BTreeMap;
 
 /// One parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub enum Json {
-    /// `null`.
     Null,
-    /// `true` or `false`.
     Bool(bool),
-    /// Any number, as an `f64`.
     Number(f64),
-    /// A string with its escapes decoded.
     String(String),
-    /// An array.
     Array(Vec<Json>),
-    /// An object; a repeated key keeps its last value.
     Object(BTreeMap<String, Json>),
 }
 
 impl Json {
     /// Parses one JSON document, surrounding whitespace allowed.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            at: 0,
-        };
-        let value = p.value()?;
-        p.skip_ws();
-        if p.at != p.bytes.len() {
-            return Err(p.error("trailing characters"));
+        let mut rest = text.as_bytes();
+        let value = value(&mut rest)?;
+        if rest.trim_ascii().is_empty() {
+            Ok(value)
+        } else {
+            Err(error("trailing characters", rest))
         }
-        Ok(value)
     }
 
     /// The member `key` of an object.
@@ -45,7 +36,6 @@ impl Json {
         }
     }
 
-    /// The value of a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Number(n) => Some(*n),
@@ -53,7 +43,6 @@ impl Json {
         }
     }
 
-    /// The value of a boolean.
     pub fn as_bool(&self) -> Option<bool> {
         match self {
             Json::Bool(b) => Some(*b),
@@ -61,7 +50,6 @@ impl Json {
         }
     }
 
-    /// The text of a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::String(s) => Some(s),
@@ -69,186 +57,114 @@ impl Json {
         }
     }
 
-    /// The elements of an array.
     pub fn as_array(&self) -> Option<&[Json]> {
         match self {
             Json::Array(items) => Some(items),
             _ => None,
         }
     }
-
-    /// The members of an object.
-    pub fn as_object(&self) -> Option<&BTreeMap<String, Json>> {
-        match self {
-            Json::Object(members) => Some(members),
-            _ => None,
-        }
-    }
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    at: usize,
+fn error(what: &str, rest: &[u8]) -> String {
+    let near = String::from_utf8_lossy(&rest[..rest.len().min(24)]);
+    format!("JSON: {what} at `{near}`")
 }
 
-impl Parser<'_> {
-    fn error(&self, what: &str) -> String {
-        format!("JSON: {what} at byte {}", self.at)
+/// Consumes `want` if it is the next byte after any whitespace.
+fn eat(s: &mut &[u8], want: u8) -> bool {
+    *s = s.trim_ascii_start();
+    let hit = s.first() == Some(&want);
+    if hit {
+        *s = &s[1..];
     }
+    hit
+}
 
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.at)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.at += 1;
+fn value(s: &mut &[u8]) -> Result<Json, String> {
+    *s = s.trim_ascii_start();
+    for (word, value) in [
+        ("true", Json::Bool(true)),
+        ("false", Json::Bool(false)),
+        ("null", Json::Null),
+    ] {
+        if let Some(rest) = s.strip_prefix(word.as_bytes()) {
+            *s = rest;
+            return Ok(value);
         }
     }
-
-    fn next_byte(&mut self) -> Result<u8, String> {
-        let b = *self
-            .bytes
-            .get(self.at)
-            .ok_or_else(|| self.error("unexpected end"))?;
-        self.at += 1;
-        Ok(b)
+    if s.first() == Some(&b'"') {
+        return string(s).map(Json::String);
     }
-
-    fn expect(&mut self, want: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.next_byte()? == want {
+    if eat(s, b'[') {
+        let mut items = Vec::new();
+        list(s, b']', |s| {
+            items.push(value(s)?);
             Ok(())
-        } else {
-            self.at -= 1;
-            Err(self.error(&format!("expected `{}`", want as char)))
-        }
+        })?;
+        return Ok(Json::Array(items));
     }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.at..].starts_with(word.as_bytes()) {
-            self.at += word.len();
-            Ok(value)
-        } else {
-            Err(self.error("unknown literal"))
-        }
+    if eat(s, b'{') {
+        let mut members = BTreeMap::new();
+        list(s, b'}', |s| {
+            let key = string(s)?;
+            if !eat(s, b':') {
+                return Err(error("expected `:`", s));
+            }
+            members.insert(key, value(s)?);
+            Ok(())
+        })?;
+        return Ok(Json::Object(members));
     }
+    let len = s
+        .iter()
+        .take_while(|b| matches!(b, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9'))
+        .count();
+    let number = std::str::from_utf8(&s[..len])
+        .ok()
+        .and_then(|n| n.parse().ok())
+        .ok_or_else(|| error("expected a value", s))?;
+    *s = &s[len..];
+    Ok(Json::Number(number))
+}
 
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.bytes.get(self.at) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string().map(Json::String),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(_) => Err(self.error("unexpected character")),
-            None => Err(self.error("unexpected end")),
-        }
+/// Parses comma-separated `item`s up to and including `close`.
+fn list(
+    s: &mut &[u8],
+    close: u8,
+    mut item: impl FnMut(&mut &[u8]) -> Result<(), String>,
+) -> Result<(), String> {
+    if eat(s, close) {
+        return Ok(());
     }
-
-    /// Parses the items between `open` and `close`, separated by
-    /// commas, each with `item`.
-    fn items(
-        &mut self,
-        open: u8,
-        close: u8,
-        mut item: impl FnMut(&mut Self) -> Result<(), String>,
-    ) -> Result<(), String> {
-        self.expect(open)?;
-        self.skip_ws();
-        if self.bytes.get(self.at) == Some(&close) {
-            self.at += 1;
+    loop {
+        item(s)?;
+        if eat(s, close) {
             return Ok(());
         }
-        loop {
-            item(self)?;
-            self.skip_ws();
-            match self.next_byte()? {
-                b',' => continue,
-                b if b == close => return Ok(()),
-                _ => {
-                    self.at -= 1;
-                    return Err(self.error(&format!("expected `,` or `{}`", close as char)));
-                }
+        if !eat(s, b',') {
+            return Err(error("expected `,`", s));
+        }
+    }
+}
+
+fn string(s: &mut &[u8]) -> Result<String, String> {
+    if !eat(s, b'"') {
+        return Err(error("expected a string", s));
+    }
+    let mut out = Vec::new();
+    loop {
+        let cur: &[u8] = s;
+        let (byte, rest) = match cur {
+            [b'"', rest @ ..] => {
+                *s = rest;
+                return String::from_utf8(out).map_err(|_| error("invalid UTF-8", s));
             }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        let mut members = BTreeMap::new();
-        self.items(b'{', b'}', |p| {
-            p.skip_ws();
-            let key = p.string()?;
-            p.expect(b':')?;
-            members.insert(key, p.value()?);
-            Ok(())
-        })?;
-        Ok(Json::Object(members))
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        let mut items = Vec::new();
-        self.items(b'[', b']', |p| {
-            items.push(p.value()?);
-            Ok(())
-        })?;
-        Ok(Json::Array(items))
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.at;
-        while self
-            .bytes
-            .get(self.at)
-            .is_some_and(|b| matches!(b, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9'))
-        {
-            self.at += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.at])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Number)
-            .ok_or_else(|| self.error("malformed number"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = Vec::new();
-        loop {
-            match self.next_byte()? {
-                b'"' => return String::from_utf8(out).map_err(|_| self.error("invalid UTF-8")),
-                b'\\' => {
-                    let c = match self.next_byte()? {
-                        b'"' => '"',
-                        b'\\' => '\\',
-                        b'/' => '/',
-                        b'b' => '\u{8}',
-                        b'f' => '\u{c}',
-                        b'n' => '\n',
-                        b'r' => '\r',
-                        b't' => '\t',
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.at..self.at + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .and_then(char::from_u32)
-                                .ok_or_else(|| self.error("bad \\u escape"))?;
-                            self.at += 4;
-                            hex
-                        }
-                        _ => return Err(self.error("bad escape")),
-                    };
-                    let mut buf = [0u8; 4];
-                    out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
-                }
-                b => out.push(b),
-            }
-        }
+            [b'\\', c @ (b'"' | b'\\' | b'/'), rest @ ..] => (*c, rest),
+            [c, rest @ ..] if *c != b'\\' => (*c, rest),
+            _ => return Err(error("unsupported escape or open string", s)),
+        };
+        out.push(byte);
+        *s = rest;
     }
 }
 
@@ -258,35 +174,24 @@ mod tests {
 
     #[test]
     fn reads_every_value_kind() {
-        let v = Json::parse(
-            " {\"a\": [1, -2.5e3, true, false, null], \"s\": \"x\\\"y\\u00e9\\n—\", \"o\": {}} ",
-        )
-        .unwrap();
+        let v = Json::parse(" {\"a\": [1, -2.5e3, true, false, null], \"s\": \"x\\\"y\\\\—\"} ")
+            .unwrap();
         let a = v.get("a").and_then(Json::as_array).unwrap();
         assert_eq!(a[0].as_f64(), Some(1.0));
         assert_eq!(a[1].as_f64(), Some(-2500.0));
-        assert_eq!(a[2].as_bool(), Some(true));
-        assert_eq!(a[3].as_bool(), Some(false));
+        assert_eq!((a[2].as_bool(), a[3].as_bool()), (Some(true), Some(false)));
         assert_eq!(a[4], Json::Null);
-        assert_eq!(v.get("s").and_then(Json::as_str), Some("x\"yé\n—"));
-        assert!(v.get("o").and_then(Json::as_object).unwrap().is_empty());
-        assert_eq!(Json::parse("[]").unwrap(), Json::Array(Vec::new()));
+        assert_eq!(v.get("s").and_then(Json::as_str), Some("x\"y\\—"));
+        assert_eq!(Json::parse("{}").unwrap(), Json::Object(BTreeMap::new()));
     }
 
     #[test]
     fn rejects_malformed_documents() {
         for bad in [
-            "",
-            "{",
-            "[1,]",
-            "{\"a\" 1}",
-            "{\"a\": 1} x",
-            "\"open",
-            "nul",
-            "1.2.3",
-            "[1 2]",
+            "", "{", "[1,]", "[1 2]", "nul", "1.2.3", "\"open", "\"\\n\"",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+        assert!(Json::parse("{\"a\" 1}").is_err() && Json::parse("{\"a\": 1} x").is_err());
     }
 }

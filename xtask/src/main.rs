@@ -77,12 +77,11 @@ const WAL_CRATES: [&str; 1] = ["crates/historian/src"];
 /// the scope of `no-unframed-checkpoint-read`.
 const CHECKPOINT_CRATES: [&str; 1] = ["crates/core/src"];
 /// Every crate that emits metrics through tesla-obs.
-const METRIC_CRATES: [&str; 9] = [
+const METRIC_CRATES: [&str; 8] = [
     "crates/core/src",
     "crates/sim/src",
     "crates/forecast/src",
     "crates/bo/src",
-    "crates/bench/src",
     "crates/obs/src",
     "crates/historian/src",
     "crates/net/src",

@@ -61,7 +61,7 @@ impl AcuModel {
                 row[i * l..(i + 1) * l].copy_from_slice(&col[t + 1 - l..=t]);
             }
         }
-        let design = SharedDesign::new(lag);
+        let mut design = SharedDesign::new(lag);
 
         let mut models = Vec::with_capacity(l);
         for step in 1..=l {

@@ -40,7 +40,7 @@ impl AspModel {
             let row = lag.row_mut(r);
             row.copy_from_slice(&trace.avg_power[t + 1 - l..=t]);
         }
-        let design = SharedDesign::new(lag);
+        let mut design = SharedDesign::new(lag);
 
         let targets: Vec<Vec<f64>> = (1..=l)
             .map(|step| rows.iter().map(|&t| trace.avg_power[t + step]).collect())

@@ -66,7 +66,7 @@ impl DcsModel {
                 row[k * l..(k + 1) * l].copy_from_slice(&col[t + 1 - l..=t]);
             }
         }
-        let design = SharedDesign::new(lag);
+        let mut design = SharedDesign::new(lag);
 
         let mut models = Vec::with_capacity(l);
         for step in 1..=l {

@@ -52,7 +52,6 @@ pub mod asp;
 pub mod dcs;
 pub mod design;
 pub mod energy;
-pub mod io;
 pub mod model;
 pub mod recursive;
 pub mod trace;

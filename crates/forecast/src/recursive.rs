@@ -56,7 +56,7 @@ impl RecursiveAr {
             }
             row[d - 1] = trace.setpoint[t + 1];
         }
-        let design = SharedDesign::new(x);
+        let mut design = SharedDesign::new(x);
 
         let targets: Vec<Vec<f64>> = (0..m)
             .map(|sig| {

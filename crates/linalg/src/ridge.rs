@@ -35,19 +35,21 @@ impl Ridge {
     /// multi-target path) but want the standard predict/accessor API.
     ///
     /// `weights` are in the *standardized* feature space described by
-    /// `feat_mean`/`feat_std`; `bias` is the target mean.
+    /// `feat_mean`/`feat_std`; `bias` is the target mean. The parts are
+    /// borrowed: only the folded weights are stored, so models that share
+    /// one standardization need not copy it.
     pub fn from_parts(
-        weights: Vec<f64>,
+        weights: &[f64],
         bias: f64,
         alpha: f64,
-        feat_mean: Vec<f64>,
-        feat_std: Vec<f64>,
+        feat_mean: &[f64],
+        feat_std: &[f64],
     ) -> Self {
         assert_eq!(weights.len(), feat_mean.len());
         assert_eq!(weights.len(), feat_std.len());
-        let folded_weights: Vec<f64> = weights.iter().zip(&feat_std).map(|(w, s)| w / s).collect();
+        let folded_weights: Vec<f64> = weights.iter().zip(feat_std).map(|(w, s)| w / s).collect();
         let mut folded_bias = bias;
-        for ((w, m), s) in weights.iter().zip(&feat_mean).zip(&feat_std) {
+        for ((w, m), s) in weights.iter().zip(feat_mean).zip(feat_std) {
             folded_bias -= w * m / s;
         }
         Ridge {
@@ -176,7 +178,7 @@ pub fn fit_ridge(x: &Matrix, y: &[f64], alpha: f64) -> Result<Ridge> {
     let weights = chol.solve(&xty)?;
 
     Ok(Ridge::from_parts(
-        weights, y_mean, alpha, feat_mean, feat_std,
+        &weights, y_mean, alpha, &feat_mean, &feat_std,
     ))
 }
 

@@ -36,7 +36,7 @@ fn main() {
             format!("{l}"),
             format!("{:.2}", r.cooling_energy_kwh),
             format!("{:.2}", r.saving_vs(&baseline)),
-            format!("{:.1}", r.tsv_percent),
+            format!("{:.1}", r.observed_tsv_percent),
             format!("{:.1}", r.ci_percent),
         ]);
     }

@@ -38,7 +38,7 @@ fn main() {
             format!("{n}"),
             format!("{:.2}", r.cooling_energy_kwh),
             format!("{:.2}", r.saving_vs(&baseline)),
-            format!("{:.1}", r.tsv_percent),
+            format!("{:.1}", r.observed_tsv_percent),
             format!("{roughness:.3}"),
         ]);
     }

@@ -6,15 +6,8 @@
 //! optimizer picks the feasible maximizer.
 
 use tesla_bench::{arg_f64, export_csv, print_table, train_test_traces, trained_tesla};
-use tesla_core::dataset::push_observation;
-use tesla_core::{Controller, EpisodeConfig};
-use tesla_forecast::Trace;
-use tesla_sim::Testbed;
-use tesla_units::Celsius;
-use tesla_workload::{DiurnalProfile, LoadSetting, Orchestrator};
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use tesla_core::{Controller, EpisodeConfig, Supervisor, SupervisorConfig, ZoneEpisode};
+use tesla_workload::LoadSetting;
 
 fn main() {
     let train_days = arg_f64("train-days", 3.0);
@@ -23,9 +16,9 @@ fn main() {
     let (train, _) = train_test_traces(train_days, 0.1, 99);
     let mut tesla = trained_tesla(&train, 1);
 
-    // Run the medium-load episode manually so the BO posterior can be
-    // captured at the two paper-marked instants (3.9 h and 7.2 h scaled
-    // to the episode length).
+    // Step the medium-load episode minute by minute so the BO posterior
+    // can be captured at the two paper-marked instants (3.9 h and 7.2 h
+    // scaled to the episode length).
     let cfg = EpisodeConfig {
         setting: LoadSetting::Medium,
         minutes,
@@ -36,45 +29,31 @@ fn main() {
     let mark_a = (minutes as f64 * 3.9 / 12.0) as usize;
     let mark_b = (minutes as f64 * 7.2 / 12.0) as usize;
 
-    let mut tb = Testbed::new(cfg.sim.clone(), cfg.seed).expect("testbed");
-    let mut orch = Orchestrator::new(cfg.sim.n_servers);
-    let mut profile = DiurnalProfile::new(cfg.setting, minutes as f64 * 60.0);
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xEE);
-    let mut trace = Trace::with_sensors(cfg.sim.n_acu_sensors, cfg.sim.n_dc_sensors);
-    tb.write_setpoint(Celsius::new(23.0));
-    for _ in 0..cfg.warmup_minutes {
-        let t = profile.sample(0.0, &mut rng);
-        let utils = orch.tick(60.0, t, &mut rng);
-        let obs = tb.step_sample(utils).expect("step");
-        push_observation(&mut trace, &obs);
-    }
-
-    let mut t_hours = Vec::new();
-    let mut avg_power = Vec::new();
-    // (label, utilisations, temps, duties, setpoint) per marked minute.
+    let mut supervisor = Supervisor::new(SupervisorConfig::pass_through());
+    let mut episode = ZoneEpisode::new(cfg.testbed().expect("testbed"), &cfg);
+    episode.warmup().expect("warm-up");
+    // (label, grid, objective mean, constraint mean, set-point) per marked minute.
     type Snapshot = (String, Vec<f64>, Vec<f64>, Vec<f64>, f64);
     let mut snapshots: Vec<Snapshot> = Vec::new();
-
     for m in 0..minutes {
-        let sp = tesla.decide(&trace);
-        tb.write_setpoint(Celsius::new(sp));
-        if (m == mark_a || m == mark_b) && tesla.last_outcome().is_some() {
-            let out = tesla.last_outcome().unwrap();
-            snapshots.push((
-                format!("{:.1}h", m as f64 / 60.0),
-                out.grid.clone(),
-                out.objective_mean.clone(),
-                out.constraint_mean.clone(),
-                out.setpoint,
-            ));
+        let sp = episode.decide(&mut supervisor, &mut tesla);
+        if m == mark_a || m == mark_b {
+            if let Some(out) = tesla.last_outcome() {
+                snapshots.push((
+                    format!("{:.1}h", m as f64 / 60.0),
+                    out.grid.clone(),
+                    out.objective_mean.clone(),
+                    out.constraint_mean.clone(),
+                    out.setpoint,
+                ));
+            }
         }
-        let t = profile.sample(m as f64 * 60.0, &mut rng);
-        let utils = orch.tick(60.0, t, &mut rng);
-        let obs = tb.step_sample(utils).expect("step");
-        t_hours.push(m as f64 / 60.0);
-        avg_power.push(obs.avg_server_power_kw);
-        push_observation(&mut trace, &obs);
+        episode
+            .advance(m, sp, &mut supervisor, false)
+            .expect("step");
     }
+    let avg_power = episode.finish(tesla.name(), &supervisor).avg_server_power;
+    let t_hours: Vec<f64> = (0..minutes).map(|m| m as f64 / 60.0).collect();
 
     let p_a = avg_power.get(mark_a).copied().unwrap_or(0.0);
     let p_b = avg_power.get(mark_b).copied().unwrap_or(0.0);

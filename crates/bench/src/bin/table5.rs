@@ -96,7 +96,7 @@ fn push_rows(
     };
     rows.push(metric_row("CE (kWh)", &|r, _| r.cooling_energy_kwh));
     rows.push(metric_row("CE saving (%)", &|r, b| r.saving_vs(b)));
-    rows.push(metric_row("TSV (%)", &|r, _| r.tsv_percent));
+    rows.push(metric_row("TSV (%)", &|r, _| r.observed_tsv_percent));
     rows.push(metric_row("CI (%)", &|r, _| r.ci_percent));
     rows.push(metric_row("cooling/IT", &|r, _| r.cooling_overhead()));
 }

@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let save = baseline.as_ref().map(|b| r.saving_vs(b)).unwrap_or(0.0);
         println!(
             "{:<10} {:>9.2} {:>9.2} {:>7.1} {:>7.1}",
-            r.controller, r.cooling_energy_kwh, save, r.tsv_percent, r.ci_percent
+            r.controller, r.cooling_energy_kwh, save, r.observed_tsv_percent, r.ci_percent
         );
         if baseline.is_none() {
             baseline = Some(r);

@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             r.server_energy_kwh,
             r.cooling_energy_kwh,
             total,
-            r.tsv_percent
+            r.observed_tsv_percent
         );
         totals.push(total);
     }

@@ -12,14 +12,12 @@
 //! cargo run --release --example online_recalibration
 //! ```
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use tesla_core::dataset::{generate_sweep_trace, push_observation, DatasetConfig};
-use tesla_core::{Controller, TeslaConfig, TeslaController};
-use tesla_forecast::Trace;
-use tesla_sim::{SimConfig, Testbed};
-use tesla_units::Celsius;
-use tesla_workload::{DiurnalProfile, LoadSetting, Orchestrator};
+use tesla_core::dataset::{generate_sweep_trace, DatasetConfig};
+use tesla_core::{
+    Controller, EpisodeConfig, Supervisor, SupervisorConfig, TeslaConfig, TeslaController,
+    ZoneEpisode,
+};
+use tesla_workload::LoadSetting;
 
 struct DriftOutcome {
     energy_after_drift: f64,
@@ -41,45 +39,40 @@ fn run(retrain_every: Option<u64>) -> DriftOutcome {
     };
     let mut tesla = TeslaController::new(&train, config).expect("TESLA");
 
-    let sim = SimConfig::default();
     let minutes = 360;
     let drift_at = 150;
-    let mut tb = Testbed::new(sim.clone(), 9).expect("testbed");
-    let mut orch = Orchestrator::new(sim.n_servers);
-    let mut profile = DiurnalProfile::new(LoadSetting::Medium, minutes as f64 * 60.0);
-    let mut rng = StdRng::seed_from_u64(9 ^ 0xEE);
-    let mut trace = Trace::with_sensors(sim.n_acu_sensors, sim.n_dc_sensors);
-    tb.write_setpoint(Celsius::new(23.0));
-    for _ in 0..60 {
-        let t = profile.sample(0.0, &mut rng);
-        let utils = orch.tick(60.0, t, &mut rng);
-        let obs = tb.step_sample(utils).expect("step");
-        push_observation(&mut trace, &obs);
-    }
+    let cfg = EpisodeConfig {
+        setting: LoadSetting::Medium,
+        minutes,
+        warmup_minutes: 60,
+        seed: 9,
+        ..EpisodeConfig::default()
+    };
+    let mut supervisor = Supervisor::new(SupervisorConfig::pass_through());
+    let mut episode = ZoneEpisode::new(cfg.testbed().expect("testbed"), &cfg);
+    episode.warmup().expect("warm-up");
 
-    let mut energy_after_drift = 0.0;
     let mut violations_after = 0usize;
     for m in 0..minutes {
         if m == drift_at {
             // Plant drift: panel removed + coils fouled.
-            tb.set_containment_leakage(0.13);
-            tb.degrade_acu_cop(0.8);
+            let plant = episode.plant_mut();
+            plant.set_containment_leakage(0.13);
+            plant.degrade_acu_cop(0.8);
         }
-        let sp = tesla.decide(&trace);
-        tb.write_setpoint(Celsius::new(sp));
-        let t = profile.sample(m as f64 * 60.0, &mut rng);
-        let utils = orch.tick(60.0, t, &mut rng);
-        let obs = tb.step_sample(utils).expect("step");
-        if m >= drift_at {
-            energy_after_drift += obs.acu_energy_kwh;
-            if obs.cold_aisle_max > 22.0 {
-                violations_after += 1;
-            }
+        let sp = episode.decide(&mut supervisor, &mut tesla);
+        let outcome = episode
+            .advance(m, sp, &mut supervisor, false)
+            .expect("step");
+        if m >= drift_at && outcome.observed_cold_aisle_max > cfg.d_allowed {
+            violations_after += 1;
         }
-        push_observation(&mut trace, &obs);
     }
+    let result = episode.finish(tesla.name(), &supervisor);
     DriftOutcome {
-        energy_after_drift,
+        energy_after_drift: result.trace.acu_energy[result.metered_from + drift_at..]
+            .iter()
+            .sum(),
         tsv_after_drift: 100.0 * violations_after as f64 / (minutes - drift_at) as f64,
         retrains: tesla.retrain_count(),
     }

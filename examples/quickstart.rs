@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  cooling energy: {:.2} kWh", result.cooling_energy_kwh);
     println!(
         "  thermal-safety violations: {:.1}% of samples",
-        result.tsv_percent
+        result.observed_tsv_percent
     );
     println!("  cooling interruption: {:.1}% of time", result.ci_percent);
     println!(

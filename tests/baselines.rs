@@ -44,9 +44,9 @@ fn lazic_saves_energy_but_violates() {
         r_fixed.cooling_energy_kwh
     );
     assert!(
-        r_lazic.tsv_percent > 1.0,
+        r_lazic.observed_tsv_percent > 1.0,
         "Lazic's boundary riding must cost thermal safety, saw {:.1}% TSV",
-        r_lazic.tsv_percent
+        r_lazic.observed_tsv_percent
     );
 }
 
@@ -60,9 +60,33 @@ fn tsrl_saves_energy_but_violates() {
     let r_tsrl = run_episode(&mut tsrl, &cfg).expect("tsrl");
     assert!(r_tsrl.cooling_energy_kwh < r_fixed.cooling_energy_kwh);
     assert!(
-        r_tsrl.tsv_percent > 1.0,
+        r_tsrl.observed_tsv_percent > 1.0,
         "TSRL must overshoot the limit, saw {:.1}% TSV",
-        r_tsrl.tsv_percent
+        r_tsrl.observed_tsv_percent
+    );
+}
+
+#[test]
+fn observed_tsv_counts_the_sensors_the_controller_read() {
+    // Lazic rides the limit at idle, so the noisy cold-aisle sensors
+    // cross it in minutes where the true maximum stays below.
+    let train = train_trace();
+    let mut lazic = LazicController::new(&train, LazicConfig::default()).expect("lazic");
+    let cfg = episode(LoadSetting::Idle, 120, 1001);
+    let r = run_episode(&mut lazic, &cfg).expect("lazic");
+    let n_cold = cfg.sim.n_cold_aisle_sensors;
+    let limit = cfg.d_allowed.value();
+    let crossed = (r.metered_from..r.trace.len())
+        .filter(|&t| r.trace.dc_temps[..n_cold].iter().any(|col| col[t] > limit))
+        .count();
+    assert!(crossed > 0, "the sensors never crossed the limit");
+    assert_eq!(
+        r.observed_tsv_percent,
+        100.0 * crossed as f64 / cfg.minutes as f64
+    );
+    assert_ne!(
+        r.observed_tsv_percent, r.tsv_percent,
+        "sensor noise must separate the observed TSV from the true one"
     );
 }
 
@@ -87,7 +111,7 @@ fn fixed_controller_is_the_safety_reference() {
     let mut fixed = FixedController::new(Celsius::new(23.0));
     for (i, setting) in LoadSetting::all().into_iter().enumerate() {
         let r = run_episode(&mut fixed, &episode(setting, 150, 100 + i as u64)).expect("episode");
-        assert_eq!(r.tsv_percent, 0.0, "{} violated", setting.name());
+        assert_eq!(r.observed_tsv_percent, 0.0, "{} violated", setting.name());
         assert!(r.ci_percent < 5.0);
     }
 }

@@ -61,9 +61,9 @@ fn tesla_controller_end_to_end_is_safe() {
     // Thermal safety: the headline claim. Allow a tiny sliver of sensor
     // noise-induced crossings in the short run.
     assert!(
-        result.tsv_percent <= 2.0,
+        result.observed_tsv_percent <= 2.0,
         "TESLA must be thermally safe, saw {:.1}% TSV",
-        result.tsv_percent
+        result.observed_tsv_percent
     );
     // Load awareness: the set-point must actually move.
     let min = result

@@ -20,9 +20,14 @@
 //!   term — which is exactly why it overshoots (§6.3).
 //! * [`dataset`] — §5.1's data collection: random 12-hour load settings
 //!   with a 20→35 °C set-point sweep at 0.5 °C per 5 minutes.
-//! * [`experiment`] — closed-loop episode runner computing the Table 5
-//!   metrics (cooling energy, thermal-safety violation, cooling
-//!   interruption).
+//! * [`engine`] — [`ZoneEpisode`], the one minute loop every controller
+//!   episode runs on: one zone's plant, workload, sanitized trace and
+//!   metric accumulators, stepped a control minute at a time.
+//! * [`experiment`] — the Table 5 metrics (cooling energy, thermal-safety
+//!   violation on the sensors and on ground truth, cooling interruption)
+//!   and [`run_episode`], the paper's evaluation episode: a
+//!   [`ZoneEpisode`] under a supervisor that never overrides the
+//!   controller ([`SupervisorConfig::pass_through`]).
 //! * [`replay`] — episode snapshot/replay: records the executed
 //!   set-point sequence into a [`tesla_historian::MetricStore`] and
 //!   re-executes it later (across restarts, through WAL recovery) for a
@@ -40,9 +45,13 @@
 //! * [`supervisor`] — the robustness layer: decision watchdog, retrying
 //!   Modbus writes, and a three-rung degradation ladder
 //!   (normal → hold-last-safe → `S_min` safe mode) with hysteresis, plus
-//!   a supervised episode runner that sanitizes telemetry through
-//!   [`tesla_telemetry::HealthMonitor`]s and scores thermal safety on
-//!   ground truth.
+//!   [`run_supervised_episode`], which runs a [`ZoneEpisode`] under it.
+//! * [`health`] — per-signal sensor health: dropout, range, flatline and
+//!   peer-deviation detection with quarantine and imputation, so the
+//!   controller's windows stay full and finite when sensors fail.
+//! * [`collector`] — the Telegraf stand-in: writes every signal of an
+//!   observation into a [`tesla_historian::MetricStore`] under the
+//!   stable [`metric`] names.
 //!
 //! # Example: a short fixed-set-point episode
 //!
@@ -59,11 +68,13 @@
 //! ```
 
 pub mod checkpoint;
+pub mod collector;
 pub mod controller;
 pub mod dataset;
 pub mod engine;
 pub mod experiment;
 pub mod fixed;
+pub mod health;
 pub mod lazic;
 pub mod objective;
 pub mod replay;
@@ -76,10 +87,12 @@ pub mod tesla;
 pub mod tsrl;
 
 pub use checkpoint::{Checkpoint, CheckpointError, CheckpointStore, CHECKPOINT_VERSION};
+pub use collector::{metric, Collector};
 pub use controller::Controller;
 pub use engine::{MinuteOutcome, ZoneEpisode};
 pub use experiment::{run_episode, EpisodeConfig, EvalResult};
 pub use fixed::FixedController;
+pub use health::{HealthConfig, HealthFault, HealthMonitor, SanitizeReport};
 pub use lazic::LazicController;
 pub use replay::{record_episode, replay_supervised_episode, ReplayController};
 pub use resume::{

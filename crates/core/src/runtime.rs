@@ -20,6 +20,7 @@
 //! producer *continues the episode at the safe-mode set-point* instead of
 //! aborting — a dead optimizer must not mean dead cooling control.
 
+use crate::collector::Collector;
 use crate::controller::Controller;
 use crate::engine::ZoneEpisode;
 use crate::experiment::{EpisodeConfig, EvalResult};
@@ -29,8 +30,8 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::Duration;
 use tesla_forecast::Trace;
+use tesla_historian::MetricStore;
 use tesla_sim::{CoolingPlant, Observation, SimError, Testbed};
-use tesla_telemetry::{Collector, MetricStore};
 use tesla_units::Celsius;
 
 /// How long the producer waits for a decision before treating the

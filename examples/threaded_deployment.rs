@@ -9,9 +9,8 @@
 use std::sync::Arc;
 use tesla_core::dataset::{generate_sweep_trace, DatasetConfig};
 use tesla_core::runtime::run_episode_threaded;
-use tesla_core::{EpisodeConfig, TeslaConfig, TeslaController};
-use tesla_historian::{Historian, HistorianConfig};
-use tesla_telemetry::{metric, MetricStore};
+use tesla_core::{metric, EpisodeConfig, TeslaConfig, TeslaController};
+use tesla_historian::{Historian, HistorianConfig, MetricStore};
 use tesla_workload::LoadSetting;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -9,7 +9,6 @@
 //!   network, PID-controlled ACU, sensors, Modbus facade).
 //! * [`workload`] — load generation (diurnal profiles, Kubernetes-like
 //!   jobs).
-//! * [`telemetry`] — in-memory time-series store, collector, queue.
 //! * [`historian`] — embedded durable time-series engine behind the
 //!   `MetricStore` trait: sharded ingest, Gorilla compression,
 //!   CRC-framed WAL with crash recovery, retention/downsampling, and
@@ -67,6 +66,5 @@ pub use tesla_net as net;
 pub use tesla_obs as obs;
 pub use tesla_reactor as reactor;
 pub use tesla_sim as sim;
-pub use tesla_telemetry as telemetry;
 pub use tesla_units as units;
 pub use tesla_workload as workload;

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use tesla::core::supervisor::{Rung, Supervisor, SupervisorConfig};
-use tesla::telemetry::{HealthConfig, HealthFault, HealthMonitor};
+use tesla::core::{HealthConfig, HealthFault, HealthMonitor};
 use tesla_units::Celsius;
 
 proptest! {

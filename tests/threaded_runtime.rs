@@ -5,13 +5,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tesla::core::dataset::{generate_sweep_trace, DatasetConfig};
 use tesla::core::{
-    run_episode_threaded, run_supervised_episode, Controller, EpisodeConfig, EvalResult,
+    metric, run_episode_threaded, run_supervised_episode, Controller, EpisodeConfig, EvalResult,
     FixedController, LazicController, Supervisor, SupervisorConfig,
 };
 use tesla::forecast::Trace;
 use tesla::historian::{Historian, HistorianConfig, MetricStore};
 use tesla::sim::faults::{ActuatorFault, ActuatorFaultKind, FaultPlan, FaultWindow};
-use tesla::telemetry::metric;
 use tesla::workload::LoadSetting;
 use tesla_units::{Celsius, SETPOINT_RANGE};
 

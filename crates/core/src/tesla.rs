@@ -176,26 +176,6 @@ impl TeslaController {
         self.monitor.len()
     }
 
-    /// Evaluates the (objective, constraint) pair the optimizer would see
-    /// for a candidate set-point at the current history — the quantities
-    /// plotted in Fig. 8b. Returns `None` when the history is too short.
-    // lint:allow(no-raw-f64-in-public-api): dimensionless (objective, constraint) pair out
-    pub fn probe(&self, history: &Trace, setpoint: Celsius) -> Option<(f64, f64)> {
-        let l = self.config.model.horizon;
-        let now = history.len().checked_sub(1)?;
-        let window = history.window_at(now, l).ok()?;
-        let pred = self.model.predict(&window, setpoint).ok()?;
-        Some((
-            objective(
-                &pred,
-                setpoint,
-                self.config.kappa,
-                self.config.interruption_weight,
-            ),
-            constraint(&pred, &self.config.cold_sensors, self.d_effective()),
-        ))
-    }
-
     /// Number of decisions that fell back to `S_min` because no candidate
     /// met the feasibility threshold (§3.3's backup strategy).
     pub fn fallback_count(&self) -> u64 {
@@ -231,18 +211,6 @@ impl TeslaController {
     /// Adjusts the interruption-penalty threshold κ during deployment.
     pub fn set_kappa(&mut self, kappa: DegC) {
         self.config.kappa = kappa.max(DegC::new(0.0));
-    }
-
-    /// The predicted horizon for a candidate set-point (diagnostics).
-    pub fn probe_prediction(
-        &self,
-        history: &Trace,
-        setpoint: Celsius,
-    ) -> Option<tesla_forecast::Prediction> {
-        let l = self.config.model.horizon;
-        let now = history.len().checked_sub(1)?;
-        let window = history.window_at(now, l).ok()?;
-        self.model.predict(&window, setpoint).ok()
     }
 
     /// Scores matured predictions against realized telemetry and feeds

@@ -184,11 +184,6 @@ impl Fleet {
         self.minute
     }
 
-    /// Last minute's site electrical draw (IT + cooling).
-    pub fn site_power_kw(&self) -> Kilowatts {
-        self.last_site_power
-    }
-
     /// The coordinator (budget/relaxation inspection).
     pub fn coordinator(&self) -> &FleetCoordinator {
         &self.coordinator

@@ -237,13 +237,6 @@ impl Matrix {
         })
     }
 
-    /// Scales every element by `s` in place.
-    pub fn scale_mut(&mut self, s: f64) {
-        for v in &mut self.data {
-            *v *= s;
-        }
-    }
-
     /// Adds `v` to every diagonal element in place (`self += v * I`).
     pub fn add_diagonal(&mut self, v: f64) {
         let n = self.rows.min(self.cols);

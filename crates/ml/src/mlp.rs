@@ -298,11 +298,6 @@ impl Mlp {
         &self.config
     }
 
-    /// Input dimension.
-    pub fn n_inputs(&self) -> usize {
-        self.n_in
-    }
-
     /// Output dimension.
     pub fn n_outputs(&self) -> usize {
         self.n_out

@@ -158,11 +158,6 @@ impl Testbed {
         self.faults = plan;
     }
 
-    /// The installed fault schedule.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
-    }
-
     /// Current simulation time in minutes (the unit fault windows use).
     pub fn time_min(&self) -> f64 {
         self.time_s / 60.0
@@ -218,11 +213,6 @@ impl Testbed {
     /// Read-only access to the Modbus register map.
     pub fn registers(&self) -> &RegisterMap {
         &self.registers
-    }
-
-    /// Direct access to the thermal state (diagnostics and tests).
-    pub fn thermal_state(&self) -> crate::thermal::ThermalState {
-        self.thermal.state()
     }
 
     /// The hot-aisle bulk temperature — the boundary state that

@@ -342,8 +342,19 @@ fn check_links() -> ExitCode {
 }
 
 fn workspace_root() -> PathBuf {
-    // xtask lives at <root>/xtask.
-    Path::new(env!("CARGO_MANIFEST_DIR"))
+    root_from(std::env::var_os("CARGO_MANIFEST_DIR"))
+}
+
+/// The workspace to check. `cargo run` (and so `cargo xtask`) sets
+/// `CARGO_MANIFEST_DIR` at run time to the xtask package of the
+/// checkout it runs in, which is the one to read even when the binary
+/// was built in another checkout (a copied `target/`). Without it, the
+/// checkout the binary was compiled in. xtask lives at `<root>/xtask`.
+fn root_from(runtime_manifest_dir: Option<std::ffi::OsString>) -> PathBuf {
+    let manifest = runtime_manifest_dir
+        .map(PathBuf::from)
+        .unwrap_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")));
+    manifest
         .parent()
         .expect("xtask sits inside the workspace")
         .to_path_buf()
@@ -448,6 +459,19 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn the_run_time_manifest_dir_names_the_checkout() {
+        let copy = Path::new("/elsewhere/copy-of-the-repo");
+        assert_eq!(root_from(Some(copy.join("xtask").into_os_string())), copy);
+    }
+
+    #[test]
+    fn without_a_run_time_manifest_dir_the_build_checkout_is_used() {
+        let built = Path::new(env!("CARGO_MANIFEST_DIR")).parent().unwrap();
+        assert_eq!(root_from(None), built);
+        assert!(built.join("Cargo.toml").is_file());
     }
 
     #[test]

@@ -614,17 +614,17 @@ impl CallGraph {
 mod tests {
     use super::*;
     use crate::lexer::lex;
-    use crate::parser::parse_fns;
+    use crate::parser::parse;
 
     fn graph(src: &str) -> CallGraph {
         let tokens = lex(src);
-        let defs = parse_fns(&tokens, 0);
+        let defs = parse(&tokens, 0).fns;
         CallGraph::build(&[tokens], defs)
     }
 
     fn sites_of(src: &str) -> Vec<Site> {
         let tokens = lex(src);
-        let defs = parse_fns(&tokens, 0);
+        let defs = parse(&tokens, 0).fns;
         extract_sites(&tokens, &defs[0])
     }
 
@@ -667,7 +667,7 @@ mod tests {
     #[test]
     fn attribute_bracket_is_not_indexing() {
         let tokens = lex("fn f() { #[allow(dead_code)] let x = 1; }");
-        let defs = parse_fns(&tokens, 0);
+        let defs = parse(&tokens, 0).fns;
         let sites = extract_sites(&tokens, &defs[0]);
         assert!(sites.iter().all(|s| s.kind != SiteKind::Index));
     }

@@ -1,13 +1,15 @@
 //! Dependency-free call-graph static analysis for the TESLA workspace.
 //!
 //! The engine lexes every workspace source file into tokens
-//! ([`lexer`]), parses function items without building a full AST
-//! ([`parser`]), resolves a conservative workspace-wide call graph
-//! ([`callgraph`]), and runs interprocedural rules ([`rules`]) that
-//! prove reachability properties from declared roots: panic-freedom on
-//! the control path, no steady-state heap allocation under `decide()`,
-//! a global lock acquisition order, and no blocking calls inside the
-//! deadline-bounded decision path.
+//! ([`lexer`]), parses function items and test-only items without
+//! building a full AST ([`parser`]), resolves a conservative
+//! workspace-wide call graph ([`callgraph`]), and runs interprocedural
+//! rules ([`rules`]) that prove reachability properties from declared
+//! roots: panic-freedom on the control path, no steady-state heap
+//! allocation under `decide()`, a global lock acquisition order, and no
+//! blocking calls inside the deadline-bounded decision path. The local
+//! rules of `cargo xtask lint` read the same [`Workspace`] and allow
+//! their findings by the same check ([`Workspace::allowed`]).
 //!
 //! ```
 //! use tesla_analysis::{RuleConfig, Workspace, RULE_PANIC};
@@ -35,23 +37,23 @@ pub mod rules;
 
 use callgraph::CallGraph;
 use lexer::Token;
-use parser::FnDef;
-use std::collections::{HashMap, HashSet};
+use parser::{FnDef, ParsedFile};
+use std::collections::{BTreeMap, HashSet};
 
 pub use rules::{
-    AnalysisFinding, LockClass, LockOrderConfig, RuleConfig, RULE_ALLOC, RULE_BLOCKING, RULE_LOCK,
+    Finding, LockClass, LockOrderConfig, RuleConfig, RULE_ALLOC, RULE_BLOCKING, RULE_LOCK,
     RULE_PANIC,
 };
 
-/// A scanned workspace: token streams, source lines, and the resolved
+/// A scanned workspace: token streams, test items, and the resolved
 /// call graph.
 pub struct Workspace {
     /// Repo-relative path per file.
     pub paths: Vec<String>,
-    /// Source lines per file (for annotation checks).
-    pub lines: Vec<Vec<String>>,
     /// Token stream per file.
     pub tokens: Vec<Vec<Token>>,
+    /// Test-only token ranges per file (see [`ParsedFile::tests`]).
+    pub tests: Vec<Vec<(usize, usize)>>,
     /// The resolved call graph over all non-test fns.
     pub graph: CallGraph,
 }
@@ -66,6 +68,12 @@ struct FnAnnotations {
     allowed: Vec<String>,
 }
 
+/// The tokens of `tokens` that begin on `line`.
+fn on_line(tokens: &[Token], line: u32) -> impl Iterator<Item = &Token> {
+    let from = tokens.partition_point(|t| t.line < line);
+    tokens[from..].iter().take_while(move |t| t.line == line)
+}
+
 impl Workspace {
     /// Lexes and parses `(path, content)` pairs — in parallel across
     /// files — and builds the call graph.
@@ -77,8 +85,7 @@ impl Workspace {
             .min(n.max(1));
         let chunk = n.div_ceil(nthreads.max(1)).max(1);
 
-        type Parsed = (Vec<String>, Vec<Token>, Vec<FnDef>);
-        let mut parsed: Vec<Parsed> = Vec::with_capacity(n);
+        let mut parsed: Vec<(Vec<Token>, ParsedFile)> = Vec::with_capacity(n);
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for (c, slice) in sources.chunks(chunk).enumerate() {
@@ -88,13 +95,11 @@ impl Workspace {
                         .iter()
                         .enumerate()
                         .map(|(j, (_, content))| {
-                            let lines: Vec<String> =
-                                content.lines().map(|l| l.to_string()).collect();
                             let tokens = lexer::lex(content);
-                            let defs = parser::parse_fns(&tokens, base + j);
-                            (lines, tokens, defs)
+                            let file = parser::parse(&tokens, base + j);
+                            (tokens, file)
                         })
-                        .collect::<Vec<Parsed>>()
+                        .collect::<Vec<_>>()
                 }));
             }
             for h in handles {
@@ -103,19 +108,19 @@ impl Workspace {
         });
 
         let paths: Vec<String> = sources.into_iter().map(|(p, _)| p).collect();
-        let mut lines = Vec::with_capacity(n);
         let mut tokens = Vec::with_capacity(n);
+        let mut tests = Vec::with_capacity(n);
         let mut defs = Vec::new();
-        for (l, t, d) in parsed {
-            lines.push(l);
+        for (t, file) in parsed {
             tokens.push(t);
-            defs.extend(d);
+            tests.push(file.tests);
+            defs.extend(file.fns);
         }
         let graph = CallGraph::build(&tokens, defs);
         Workspace {
             paths,
-            lines,
             tokens,
+            tests,
             graph,
         }
     }
@@ -123,7 +128,7 @@ impl Workspace {
     /// Runs all four rules and returns deduplicated findings, sorted by
     /// rule, file, line. Allow annotations set `allowed` but never
     /// remove findings from the report.
-    pub fn analyze(&self, cfg: &RuleConfig) -> Vec<AnalysisFinding> {
+    pub fn analyze(&self, cfg: &RuleConfig) -> Vec<Finding> {
         let annos: Vec<FnAnnotations> = (0..self.graph.fns.len())
             .map(|f| self.fn_annotations(&self.graph.fns[f].def))
             .collect();
@@ -134,7 +139,7 @@ impl Workspace {
             .map(|(f, _)| f)
             .collect();
 
-        let mut out: Vec<AnalysisFinding> = Vec::new();
+        let mut out: Vec<Finding> = Vec::new();
         out.extend(self.traversal_rule(
             RULE_PANIC,
             &cfg.panic_roots,
@@ -184,7 +189,7 @@ impl Workspace {
         matcher: &dyn Fn(&callgraph::Site) -> Option<String>,
         skip: &dyn Fn(usize) -> bool,
         annos: &[FnAnnotations],
-    ) -> Vec<AnalysisFinding> {
+    ) -> Vec<Finding> {
         let mut root_ids: Vec<usize> = Vec::new();
         for spec in roots {
             root_ids.extend(self.graph.roots(spec));
@@ -198,7 +203,7 @@ impl Workspace {
                 let Some(desc) = matcher(site) else { continue };
                 let chain = rules::witness_chain(&self.graph, &pred, f, &self.paths);
                 let witness = format!("{chain} -> {desc} [{}:{}]", self.paths[file], site.line);
-                let mut finding = AnalysisFinding {
+                let mut finding = Finding {
                     rule,
                     file: self.paths[file].clone(),
                     line: site.line,
@@ -206,7 +211,7 @@ impl Workspace {
                     witness,
                     allowed: false,
                 };
-                finding.allowed = self.site_allowed(file, site.line, rule)
+                finding.allowed = self.allowed(file, site.line, rule)
                     || annos[f].allowed.iter().any(|r| r == rule)
                     || self.file_allows(file, rule);
                 out.push(finding);
@@ -215,52 +220,57 @@ impl Workspace {
         out
     }
 
-    /// `lint:allow(<rule>)` on the finding line or the line above.
-    fn site_allowed(&self, file: usize, line: u32, rule: &str) -> bool {
-        let needle = format!("lint:allow({rule})");
-        let lines = &self.lines[file];
-        let i = line as usize;
-        let on_line = i >= 1 && lines.get(i - 1).is_some_and(|l| l.contains(&needle));
-        let above = i >= 2 && lines.get(i - 2).is_some_and(|l| l.contains(&needle));
-        on_line || above
+    /// Whether `lint:allow(<rule>)` covers `line` of `file`: in a comment
+    /// on that line, or in a `//` comment that is the whole line above.
+    /// The one allowlist check for every finding, lint and analysis alike.
+    pub fn allowed(&self, file: usize, line: u32, rule: &str) -> bool {
+        let marker = format!("lint:allow({rule})");
+        let tokens = &self.tokens[file];
+        let above = line > 1
+            && on_line(tokens, line - 1)
+                .next()
+                .is_some_and(|t| t.text.starts_with("//") && t.text.contains(&marker));
+        above
+            || on_line(tokens, line)
+                .any(|t| t.kind == lexer::TokenKind::Comment && t.text.contains(&marker))
     }
 
     /// How many files carry a file-level waiver for `rule`.
     pub fn file_waivers(&self, rule: &str) -> usize {
-        (0..self.lines.len())
+        (0..self.tokens.len())
             .filter(|&file| self.file_allows(file, rule))
             .count()
     }
 
-    /// `// analysis:allow-file(<rule>): reason` on any comment line.
+    /// `// analysis:allow-file(<rule>): reason` in any `//` comment.
     fn file_allows(&self, file: usize, rule: &str) -> bool {
         let needle = format!("analysis:allow-file({rule})");
-        self.lines[file]
+        self.tokens[file]
             .iter()
-            .any(|l| l.trim_start().starts_with("//") && l.contains(&needle))
+            .any(|t| t.text.starts_with("//") && t.text.contains(&needle))
     }
 
-    /// Scans comment/attribute lines directly above a fn definition.
+    /// Reads the `//` comment lines directly above a fn definition,
+    /// through its attribute and `pub` lines, up to any other line.
     fn fn_annotations(&self, def: &FnDef) -> FnAnnotations {
         let mut out = FnAnnotations::default();
-        let lines = &self.lines[def.file];
-        let mut i = def.line as usize; // def.line is 1-based; start above it
-        while i >= 2 {
-            i -= 1;
-            let l = lines[i - 1].trim_start();
-            if !(l.starts_with("//") || l.starts_with("#[") || l.starts_with("pub")) {
+        let tokens = &self.tokens[def.file];
+        for line in (1..def.line).rev() {
+            let Some(first) = on_line(tokens, line).next() else {
                 break;
-            }
-            if l.starts_with("//") {
-                if l.contains("analysis:setup") {
+            };
+            if let Some(comment) = first.text.strip_prefix("//") {
+                if comment.contains("analysis:setup") {
                     out.setup = true;
                 }
-                if let Some(pos) = l.find("lint:allow(") {
-                    let rest = &l[pos + "lint:allow(".len()..];
+                if let Some(pos) = comment.find("lint:allow(") {
+                    let rest = &comment[pos + "lint:allow(".len()..];
                     if let Some(end) = rest.find(')') {
                         out.allowed.push(rest[..end].to_string());
                     }
                 }
+            } else if !(first.is_punct('#') || first.is_ident("pub")) {
+                break;
             }
         }
         out
@@ -268,11 +278,11 @@ impl Workspace {
 
     /// Allow status for a finding produced outside the traversal path
     /// (lock rule): site-level, enclosing-fn-level, or file-level.
-    fn finding_allowed(&self, f: &AnalysisFinding, annos: &[FnAnnotations]) -> bool {
+    fn finding_allowed(&self, f: &Finding, annos: &[FnAnnotations]) -> bool {
         let Some(file) = self.paths.iter().position(|p| *p == f.file) else {
             return false;
         };
-        if self.site_allowed(file, f.line, f.rule) || self.file_allows(file, f.rule) {
+        if self.allowed(file, f.line, f.rule) || self.file_allows(file, f.rule) {
             return true;
         }
         // Enclosing fn: the definition with the greatest line <= finding
@@ -300,25 +310,30 @@ impl Workspace {
     }
 }
 
-/// Maps fn-annotation lookups used in tests and drivers.
+/// Active and allowlisted findings per rule.
 #[derive(Debug, Default)]
 pub struct RuleCounts {
     /// Active (non-allowed) findings per rule.
-    pub active: HashMap<String, usize>,
+    pub active: BTreeMap<&'static str, usize>,
     /// Allowed findings per rule.
-    pub allowed: HashMap<String, usize>,
+    pub allowed: BTreeMap<&'static str, usize>,
 }
 
-/// Tallies findings per rule into active/allowed counts.
-pub fn count_by_rule(findings: &[AnalysisFinding]) -> RuleCounts {
-    let mut c = RuleCounts::default();
+/// Tallies findings per rule into active/allowed counts. Every rule in
+/// `rules` gets an entry, zero or not.
+pub fn count_by_rule(rules: &[&'static str], findings: &[Finding]) -> RuleCounts {
+    let zeros = || rules.iter().map(|&r| (r, 0)).collect();
+    let mut c = RuleCounts {
+        active: zeros(),
+        allowed: zeros(),
+    };
     for f in findings {
         let m = if f.allowed {
             &mut c.allowed
         } else {
             &mut c.active
         };
-        *m.entry(f.rule.to_string()).or_insert(0) += 1;
+        *m.entry(f.rule).or_insert(0) += 1;
     }
     c
 }
@@ -418,7 +433,7 @@ mod tests {
     #[test]
     fn count_by_rule_splits_active_and_allowed() {
         let findings = vec![
-            AnalysisFinding {
+            Finding {
                 rule: RULE_PANIC,
                 file: "a.rs".into(),
                 line: 1,
@@ -426,7 +441,7 @@ mod tests {
                 witness: "w".into(),
                 allowed: false,
             },
-            AnalysisFinding {
+            Finding {
                 rule: RULE_PANIC,
                 file: "a.rs".into(),
                 line: 2,
@@ -435,7 +450,7 @@ mod tests {
                 allowed: true,
             },
         ];
-        let c = count_by_rule(&findings);
+        let c = count_by_rule(&[RULE_PANIC], &findings);
         assert_eq!(c.active.get(RULE_PANIC), Some(&1));
         assert_eq!(c.allowed.get(RULE_PANIC), Some(&1));
     }

@@ -17,6 +17,9 @@ pub struct FnDef {
     pub file: usize,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
+    /// Token index of the `fn` (or `macro_rules`) keyword; the signature
+    /// runs from here to `body.0`.
+    pub start: usize,
     /// Token range of the body, including both braces. Empty for
     /// bodyless trait-method declarations.
     pub body: (usize, usize),
@@ -46,6 +49,17 @@ impl FnDef {
     }
 }
 
+/// What the parser finds in one file.
+#[derive(Debug, Default)]
+pub struct ParsedFile {
+    /// Every fn and `macro_rules!` definition, test code included.
+    pub fns: Vec<FnDef>,
+    /// Half-open token ranges of test-only code: each item under
+    /// `#[cfg(test)]` or `#[test]` outside other test code, from the
+    /// attribute's `#` through the item's closing `}` or `;`.
+    pub tests: Vec<(usize, usize)>,
+}
+
 /// What kind of scope a `{` opened.
 #[derive(Debug, Clone)]
 enum Scope {
@@ -56,17 +70,28 @@ enum Scope {
     Block(bool),
 }
 
-/// Parses the token stream of one file into its function definitions.
-/// `file` is the caller's index for this file.
-pub fn parse_fns(tokens: &[Token], file: usize) -> Vec<FnDef> {
-    let mut out: Vec<FnDef> = Vec::new();
+impl Scope {
+    fn is_test(&self) -> bool {
+        matches!(self, Scope::Impl(_, true) | Scope::Block(true))
+    }
+}
+
+/// Parses the token stream of one file into its function definitions
+/// and test items. `file` is the caller's index for this file.
+pub fn parse(tokens: &[Token], file: usize) -> ParsedFile {
+    let mut out = ParsedFile::default();
     let mut scopes: Vec<Scope> = Vec::new();
-    // Pending item context, applied when its `{` arrives.
+    // Pending item context, applied when its `{` arrives, and the fn
+    // (index into `out.fns`) whose body that `{` opens.
     let mut pending: Option<Scope> = None;
-    // Attribute state for the *next* item.
-    let mut next_is_test = false;
-    // Open fn definitions waiting for their body to close:
-    // (out-index, brace-depth-at-open).
+    let mut pending_fn: Option<usize> = None;
+    // The `#` of a test attribute whose item has neither opened its
+    // block nor ended. A `;` or `,` ends such an item, and so does the
+    // `}` of the block around it (a test-only field or arm).
+    let mut test_attr: Option<usize> = None;
+    // Open test items and fn definitions waiting for their block to
+    // close: (attribute `#` or fn index, scope depth at open).
+    let mut open_tests: Vec<(usize, usize)> = Vec::new();
     let mut open_fns: Vec<(usize, usize)> = Vec::new();
 
     let sig_tokens = |toks: &[Token]| -> String {
@@ -83,14 +108,13 @@ pub fn parse_fns(tokens: &[Token], file: usize) -> Vec<FnDef> {
     let mut i = 0usize;
     while i < tokens.len() {
         let t = &tokens[i];
+        let in_test = test_attr.is_some() || scopes.iter().any(Scope::is_test);
         match t.kind {
-            TokenKind::Comment => {
-                i += 1;
-                continue;
-            }
             TokenKind::Punct if t.text == "#" => {
                 // Attribute: `#[ … ]` (or inner `#![ … ]`). Scan the
                 // bracket group and look for cfg(test) / test markers.
+                // `cfg_attr(test, …)` only adds attributes under test, so
+                // its item stays live.
                 let mut j = i + 1;
                 if j < tokens.len() && tokens[j].is_punct('!') {
                     j += 1;
@@ -110,68 +134,45 @@ pub fn parse_fns(tokens: &[Token], file: usize) -> Vec<FnDef> {
                         j += 1;
                     }
                     let attr = sig_tokens(&tokens[start..=j.min(tokens.len() - 1)]);
-                    if attr.contains("cfg ( test")
-                        || attr.contains("[ test ]")
-                        || attr.contains("cfg_attr ( test")
-                    {
-                        next_is_test = true;
+                    if !in_test && (attr.contains("cfg ( test") || attr.contains("[ test ]")) {
+                        test_attr = Some(i);
                     }
-                    i = j + 1;
+                    i = j;
+                }
+            }
+            TokenKind::Ident => match t.text.as_str() {
+                "impl" => {
+                    // Capture the self type: tokens up to the `{`
+                    // (or `;`), taking the path after `for` when
+                    // present, else the first path after generics.
+                    let mut j = i + 1;
+                    let mut angle = 0i32;
+                    let mut after_for: Option<usize> = None;
+                    while j < tokens.len() {
+                        let tj = &tokens[j];
+                        if tj.is_punct('{') || tj.is_punct(';') {
+                            break;
+                        }
+                        if tj.is_punct('<') {
+                            angle += 1;
+                        } else if tj.is_punct('>') {
+                            angle -= 1;
+                        } else if angle == 0 && tj.is_ident("for") {
+                            after_for = Some(j + 1);
+                        }
+                        j += 1;
+                    }
+                    let ty_range = match after_for {
+                        Some(s) => &tokens[s..j],
+                        None => &tokens[i + 1..j],
+                    };
+                    pending = Some(Scope::Impl(self_type_name(ty_range), in_test));
+                    i = j; // land on `{` or `;`
                     continue;
                 }
-                i += 1;
-            }
-            TokenKind::Ident => {
-                let in_test = next_is_test
-                    || scopes
-                        .iter()
-                        .any(|s| matches!(s, Scope::Impl(_, true) | Scope::Block(true)));
-                match t.text.as_str() {
-                    "impl" => {
-                        // Capture the self type: tokens up to the `{`
-                        // (or `;`), taking the path after `for` when
-                        // present, else the first path after generics.
-                        let mut j = i + 1;
-                        let mut angle = 0i32;
-                        let mut after_for: Option<usize> = None;
-                        while j < tokens.len() {
-                            let tj = &tokens[j];
-                            if tj.is_punct('{') || tj.is_punct(';') {
-                                break;
-                            }
-                            if tj.is_punct('<') {
-                                angle += 1;
-                            } else if tj.is_punct('>') {
-                                angle -= 1;
-                            } else if angle == 0 && tj.is_ident("for") {
-                                after_for = Some(j + 1);
-                            }
-                            j += 1;
-                        }
-                        let ty_range = match after_for {
-                            Some(s) => &tokens[s..j],
-                            None => &tokens[i + 1..j],
-                        };
-                        let ty = self_type_name(ty_range);
-                        pending = Some(Scope::Impl(ty, in_test));
-                        next_is_test = false;
-                        i = j; // land on `{` or `;`
-                        continue;
-                    }
-                    "mod" | "trait" => {
-                        pending = Some(Scope::Block(in_test));
-                        next_is_test = false;
-                        i += 1;
-                        continue;
-                    }
-                    "fn" => {
-                        let name = match tokens.get(i + 1) {
-                            Some(n) if n.kind == TokenKind::Ident => n.text.clone(),
-                            _ => {
-                                i += 1;
-                                continue;
-                            }
-                        };
+                "mod" | "trait" => pending = Some(Scope::Block(in_test)),
+                "fn" => {
+                    if let Some(n) = tokens.get(i + 1).filter(|n| n.kind == TokenKind::Ident) {
                         // Scan the signature to the body `{` or a `;`
                         // (trait declaration). Braces cannot appear in
                         // the signatures this workspace writes.
@@ -192,106 +193,102 @@ pub fn parse_fns(tokens: &[Token], file: usize) -> Vec<FnDef> {
                             Scope::Impl(ty, _) => Some(ty.clone()),
                             Scope::Block(_) => None,
                         });
-                        let def = FnDef {
-                            name,
+                        // A bodyless declaration keeps an empty body
+                        // (trait methods resolve to their impls anyway).
+                        if tokens.get(j).is_some_and(|b| b.is_punct('{')) {
+                            pending = Some(Scope::Block(in_test));
+                            pending_fn = Some(out.fns.len());
+                        }
+                        out.fns.push(FnDef {
+                            name: n.text.clone(),
                             impl_type,
                             file,
                             line: t.line,
+                            start: i,
                             body: (j, j), // patched when the body closes
                             nested: Vec::new(),
                             is_test: in_test,
                             signature: sig_tokens(&tokens[i..j.min(tokens.len())]),
-                        };
-                        next_is_test = false;
-                        if j < tokens.len() && tokens[j].is_punct('{') {
-                            out.push(def);
-                            open_fns.push((out.len() - 1, scopes.len()));
-                            // The `{` at j is consumed as this fn's body
-                            // opener.
-                            scopes.push(Scope::Block(in_test));
-                            i = j + 1;
-                            continue;
-                        }
-                        // Bodyless declaration: keep it (trait methods
-                        // resolve to their impls anyway), empty body.
-                        out.push(def);
-                        i = j + 1;
-                        continue;
-                    }
-                    "macro_rules" => {
-                        // `macro_rules! name { … }` — record as callable
-                        // `name!` whose body is the rule block.
-                        if let (Some(bang), Some(nm)) = (tokens.get(i + 1), tokens.get(i + 2)) {
-                            if bang.is_punct('!') && nm.kind == TokenKind::Ident {
-                                let mut j = i + 3;
-                                while j < tokens.len() && !tokens[j].is_punct('{') {
-                                    j += 1;
-                                }
-                                out.push(FnDef {
-                                    name: format!("{}!", nm.text),
-                                    impl_type: None,
-                                    file,
-                                    line: t.line,
-                                    body: (j, j),
-                                    nested: Vec::new(),
-                                    is_test: in_test,
-                                    signature: String::new(),
-                                });
-                                open_fns.push((out.len() - 1, scopes.len()));
-                                scopes.push(Scope::Block(in_test));
-                                next_is_test = false;
-                                i = j + 1;
-                                continue;
-                            }
-                        }
-                        i += 1;
-                        continue;
-                    }
-                    _ => {
-                        i += 1;
+                        });
+                        i = j; // land on the body `{` or the `;`
                         continue;
                     }
                 }
-            }
+                "macro_rules" => {
+                    // `macro_rules! name { … }` — record as callable
+                    // `name!` whose body is the rule block.
+                    if let (Some(bang), Some(nm)) = (tokens.get(i + 1), tokens.get(i + 2)) {
+                        if bang.is_punct('!') && nm.kind == TokenKind::Ident {
+                            let mut j = i + 3;
+                            while j < tokens.len() && !tokens[j].is_punct('{') {
+                                j += 1;
+                            }
+                            pending = Some(Scope::Block(in_test));
+                            pending_fn = Some(out.fns.len());
+                            out.fns.push(FnDef {
+                                name: format!("{}!", nm.text),
+                                impl_type: None,
+                                file,
+                                line: t.line,
+                                start: i,
+                                body: (j, j),
+                                nested: Vec::new(),
+                                is_test: in_test,
+                                signature: String::new(),
+                            });
+                            i = j;
+                            continue;
+                        }
+                    }
+                }
+                _ => {}
+            },
             TokenKind::Punct if t.text == "{" => {
-                let scope = pending.take().unwrap_or_else(|| {
-                    Scope::Block(
-                        next_is_test
-                            || scopes
-                                .iter()
-                                .any(|s| matches!(s, Scope::Impl(_, true) | Scope::Block(true))),
-                    )
-                });
-                next_is_test = false;
-                scopes.push(scope);
-                i += 1;
+                if let Some(fx) = pending_fn.take() {
+                    open_fns.push((fx, scopes.len()));
+                }
+                if let Some(a) = test_attr.take() {
+                    open_tests.push((a, scopes.len()));
+                }
+                scopes.push(pending.take().unwrap_or(Scope::Block(in_test)));
             }
             TokenKind::Punct if t.text == "}" => {
+                if let Some(a) = test_attr.take() {
+                    out.tests.push((a, i));
+                }
                 scopes.pop();
                 // Close any fn whose body opened at this depth.
                 if let Some(&(fx, depth)) = open_fns.last() {
                     if scopes.len() == depth {
                         open_fns.pop();
-                        let (start, _) = out[fx].body;
-                        out[fx].body = (start, i + 1);
+                        let (start, _) = out.fns[fx].body;
+                        out.fns[fx].body = (start, i + 1);
                         // Record this span as nested inside the enclosing
                         // open fn, if any.
                         if let Some(&(outer, _)) = open_fns.last() {
-                            out[outer].nested.push((start, i + 1));
+                            out.fns[outer].nested.push((start, i + 1));
                         }
                     }
                 }
-                i += 1;
+                if let Some(&(a, depth)) = open_tests.last() {
+                    if scopes.len() == depth {
+                        open_tests.pop();
+                        out.tests.push((a, i + 1));
+                    }
+                }
             }
-            TokenKind::Punct if t.text == ";" => {
+            TokenKind::Punct if t.text == ";" || t.text == "," => {
                 // `mod foo;` / `impl … ;` never materialize their scope.
-                pending = None;
-                i += 1;
+                if t.text == ";" {
+                    pending = None;
+                }
+                if let Some(a) = test_attr.take() {
+                    out.tests.push((a, i + 1));
+                }
             }
-            _ => {
-                i += 1;
-            }
+            _ => {}
         }
+        i += 1;
     }
     out
 }
@@ -319,8 +316,12 @@ mod tests {
     use super::*;
     use crate::lexer::lex;
 
+    fn parse_src(src: &str) -> ParsedFile {
+        super::parse(&lex(src), 0)
+    }
+
     fn parse(src: &str) -> Vec<FnDef> {
-        parse_fns(&lex(src), 0)
+        parse_src(src).fns
     }
 
     #[test]
@@ -357,6 +358,64 @@ mod tests {
         assert!(!defs[0].is_test);
         assert!(defs[1].is_test);
         assert!(defs[2].is_test);
+    }
+
+    #[test]
+    fn cfg_test_on_a_semicolon_item_leaves_the_next_fn_live() {
+        for item in ["use std::fmt;", "const K: u8 = 1;", "static S: u8 = 1;"] {
+            let defs = parse(&format!(
+                "#[cfg(test)]\n{item}\npub fn live() {{ x.unwrap(); }}"
+            ));
+            assert_eq!(defs.len(), 1);
+            assert!(!defs[0].is_test, "after `{item}`");
+        }
+    }
+
+    #[test]
+    fn cfg_attr_test_is_not_test_only() {
+        let defs = parse(
+            "#[cfg_attr(test, derive(Debug))]\npub struct S;\n\
+             impl S { pub fn live(&self) { x.unwrap(); } }",
+        );
+        assert_eq!(defs[0].qualified(), "S::live");
+        assert!(!defs[0].is_test);
+    }
+
+    #[test]
+    fn test_only_field_ends_at_its_comma_or_block() {
+        let src = "struct S {\n    #[cfg(test)]\n    probes: usize,\n    live: u8,\n}\n\
+                   fn make() -> S { S { live: 1, #[cfg(test)] probes: 0 } }\n\
+                   fn live() {}";
+        let parsed = parse_src(src);
+        assert!(parsed.fns.iter().all(|f| !f.is_test));
+        let toks = lex(src);
+        let texts: Vec<String> = parsed
+            .tests
+            .iter()
+            .map(|&(s, e)| toks[s..e].iter().map(|t| t.text.as_str()).collect())
+            .collect();
+        assert_eq!(texts, ["#[cfg(test)]probes:usize,", "#[cfg(test)]probes:0"]);
+    }
+
+    #[test]
+    fn test_items_span_from_attribute_to_close() {
+        let src = "fn a() {}\n#[cfg(test)]\n// note { brace\nmod tests {\n    #[test]\n    fn b() {}\n}\n\
+                   #[cfg(test)]\nuse std::fmt;\nfn c() {}\n";
+        let parsed = parse_src(src);
+        let toks = lex(src);
+        let lines: Vec<(u32, u32)> = parsed
+            .tests
+            .iter()
+            .map(|&(s, e)| (toks[s].line, toks[e - 1].line))
+            .collect();
+        assert_eq!(lines, [(2, 7), (8, 9)]);
+        let live: Vec<&str> = parsed
+            .fns
+            .iter()
+            .filter(|f| !f.is_test)
+            .map(|f| f.name.as_str())
+            .collect();
+        assert_eq!(live, ["a", "c"]);
     }
 
     #[test]

@@ -52,9 +52,9 @@ pub struct RuleConfig {
     pub lock: LockOrderConfig,
 }
 
-/// One analysis finding.
+/// One finding of an analysis rule or of a `cargo xtask lint` rule.
 #[derive(Debug, Clone)]
-pub struct AnalysisFinding {
+pub struct Finding {
     /// Rule name.
     pub rule: &'static str,
     /// Repo-relative file of the offending site.
@@ -63,7 +63,8 @@ pub struct AnalysisFinding {
     pub line: u32,
     /// What was found.
     pub message: String,
-    /// Root-to-site call chain with per-hop `file:line`.
+    /// Root-to-site call chain with per-hop `file:line`; empty for a
+    /// lint finding, which is local to its line.
     pub witness: String,
     /// Whether an allow annotation covers this finding.
     pub allowed: bool,
@@ -376,7 +377,7 @@ pub fn lock_order_findings(
     cfg: &LockOrderConfig,
     paths: &[String],
     files: &[Vec<Token>],
-) -> Vec<AnalysisFinding> {
+) -> Vec<Finding> {
     let order_idx = |cls: usize| cfg.order.iter().position(|o| *o == cfg.classes[cls].name);
     let classify = |f: usize, site: &Site| -> Option<usize> {
         if site.kind != SiteKind::Method || !matches!(site.name.as_str(), "lock" | "read" | "write")
@@ -437,7 +438,7 @@ pub fn lock_order_findings(
         }
     }
 
-    let mut out: Vec<AnalysisFinding> = Vec::new();
+    let mut out: Vec<Finding> = Vec::new();
     for (f, node) in graph.fns.iter().enumerate() {
         if node.def.returns_guard() {
             // A guard-returning accessor holds its lock at return by
@@ -486,7 +487,7 @@ pub fn lock_order_findings(
                 }
                 let b_name = &cfg.classes[b.class].name;
                 if a.class == b.class {
-                    out.push(AnalysisFinding {
+                    out.push(Finding {
                         rule: RULE_LOCK,
                         file: paths[file].clone(),
                         line: b.line,
@@ -503,7 +504,7 @@ pub fn lock_order_findings(
                     });
                 } else if let (Some(ai), Some(bi)) = (order_idx(a.class), order_idx(b.class)) {
                     if ai > bi {
-                        out.push(AnalysisFinding {
+                        out.push(Finding {
                             rule: RULE_LOCK,
                             file: paths[file].clone(),
                             line: b.line,
@@ -526,7 +527,7 @@ pub fn lock_order_findings(
                     continue;
                 }
                 if let Some(desc) = blocking_site(site) {
-                    out.push(AnalysisFinding {
+                    out.push(Finding {
                         rule: RULE_LOCK,
                         file: paths[file].clone(),
                         line: site.line,
@@ -546,7 +547,7 @@ pub fn lock_order_findings(
                         }
                         let callee_name = graph.fns[c].def.qualified();
                         if summaries[c].io {
-                            out.push(AnalysisFinding {
+                            out.push(Finding {
                                 rule: RULE_LOCK,
                                 file: paths[file].clone(),
                                 line: site.line,
@@ -568,7 +569,7 @@ pub fn lock_order_findings(
                             if let (Some(ai), Some(bi)) = (order_idx(a.class), order_idx(cls)) {
                                 if ai > bi {
                                     let b_name = &cfg.classes[cls].name;
-                                    out.push(AnalysisFinding {
+                                    out.push(Finding {
                                         rule: RULE_LOCK,
                                         file: paths[file].clone(),
                                         line: site.line,
@@ -598,11 +599,11 @@ pub fn lock_order_findings(
 mod tests {
     use super::*;
     use crate::lexer::lex;
-    use crate::parser::parse_fns;
+    use crate::parser::parse;
 
     fn graph(src: &str) -> (CallGraph, Vec<Vec<Token>>) {
         let tokens = lex(src);
-        let defs = parse_fns(&tokens, 0);
+        let defs = parse(&tokens, 0).fns;
         let files = vec![tokens];
         let g = CallGraph::build(&files, defs);
         (g, files)

@@ -1,4 +1,4 @@
-//! Regression fixture for `test_line_mask`. Tagged lines must either be
+//! Regression fixture for the parser's test scopes. Tagged lines must either be
 //! hidden as test code or stay visible to the rules.
 
 pub fn live_before() {} // LIVE

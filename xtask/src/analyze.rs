@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use crate::json::Json;
 use tesla_analysis::{
-    AnalysisFinding, LockClass, LockOrderConfig, RuleConfig, Workspace, RULE_ALLOC, RULE_BLOCKING,
+    count_by_rule, LockClass, LockOrderConfig, RuleConfig, Workspace, RULE_ALLOC, RULE_BLOCKING,
     RULE_LOCK, RULE_PANIC,
 };
 
@@ -98,7 +98,8 @@ pub fn workspace_rule_config() -> RuleConfig {
     }
 }
 
-/// Scans `crates/*/src` into `(repo-relative path, content)` pairs.
+/// Reads every `.rs` file under `crates/` into `(repo-relative path,
+/// content)` pairs: the one source list of both `analyze` and `lint`.
 pub fn workspace_sources(root: &std::path::Path) -> Result<Vec<(String, String)>, String> {
     let mut sources = Vec::new();
     for file in crate::rust_files(&root.join("crates")) {
@@ -188,75 +189,44 @@ pub fn run(args: &[String]) -> ExitCode {
 
     let findings = ws.analyze(&cfg);
     let wall = started.elapsed().as_secs_f64();
-
-    let mut active: BTreeMap<&str, usize> = BTreeMap::new();
-    let mut allowed: BTreeMap<&str, usize> = BTreeMap::new();
-    for rule in ANALYSIS_RULES {
-        active.insert(rule, 0);
-        allowed.insert(rule, 0);
-    }
-    for f in &findings {
-        *if f.allowed {
-            allowed.entry(f.rule)
-        } else {
-            active.entry(f.rule)
-        }
-        .or_insert(0) += 1;
-    }
+    let counts = count_by_rule(&ANALYSIS_RULES, &findings);
 
     for f in findings.iter().filter(|f| !f.allowed) {
         println!("{}:{}: [{}] {}", f.file, f.line, f.rule, f.message);
         println!("    witness: {}", f.witness);
     }
-    let total_active: usize = active.values().sum();
-    let total_allowed: usize = allowed.values().sum();
+    let total_active: usize = counts.active.values().sum();
+    let total_allowed: usize = counts.allowed.values().sum();
     println!(
         "xtask analyze: {n_files} file(s), {} fn(s), {total_active} active finding(s), \
          {total_allowed} allowlisted, {wall:.2}s",
         ws.graph.fns.len()
     );
 
-    // Report.
-    let report = render_analysis_report(&findings, &active, &allowed, wall);
-    let report_abs = if report_path.is_absolute() {
-        report_path.clone()
-    } else {
-        root.join(&report_path)
-    };
-    if let Some(parent) = report_abs.parent() {
-        if let Err(e) = fs::create_dir_all(parent) {
-            eprintln!("xtask analyze: cannot create {}: {e}", parent.display());
+    let report = crate::render_report(&findings, &counts, wall);
+    match crate::write_file(&root, &report_path, &report) {
+        Ok(path) => println!("xtask analyze: report written to {}", path.display()),
+        Err(e) => {
+            eprintln!("xtask analyze: {e}");
             return ExitCode::from(2);
         }
     }
-    if let Err(e) = fs::write(&report_abs, report) {
-        eprintln!("xtask analyze: cannot write {}: {e}", report_abs.display());
-        return ExitCode::from(2);
-    }
-    println!("xtask analyze: report written to {}", report_abs.display());
 
     // Baseline ratchet.
-    let counts = ratchet_counts(&active, &ws);
-    let baseline_abs = if baseline_path.is_absolute() {
-        baseline_path.clone()
-    } else {
-        root.join(&baseline_path)
-    };
+    let ratchet_now = ratchet_counts(&counts.active, &ws);
     if write_baseline {
-        let body = render_baseline(&counts);
-        if let Err(e) = fs::write(&baseline_abs, body) {
-            eprintln!(
-                "xtask analyze: cannot write {}: {e}",
-                baseline_abs.display()
-            );
-            return ExitCode::from(2);
-        }
-        println!(
-            "xtask analyze: baseline written to {}",
-            baseline_abs.display()
-        );
-        return ExitCode::SUCCESS;
+        return match crate::write_file(&root, &baseline_path, &render_baseline(&ratchet_now)) {
+            Ok(path) => {
+                println!("xtask analyze: baseline written to {}", path.display());
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("xtask analyze: {e}");
+                ExitCode::from(2)
+            }
+        };
     }
+    let baseline_abs = root.join(&baseline_path);
     let baseline = match fs::read_to_string(&baseline_abs).map(|s| parse_baseline(&s)) {
         Ok(Ok(b)) => b,
         Ok(Err(e)) => {
@@ -273,7 +243,7 @@ pub fn run(args: &[String]) -> ExitCode {
         }
     };
     let mut regressed = false;
-    for (key, now, base) in ratchet(&counts, &baseline) {
+    for (key, now, base) in ratchet(&ratchet_now, &baseline) {
         if now > base {
             eprintln!("xtask analyze: RATCHET — `{key}` is {now}, baseline allows {base}");
             regressed = true;
@@ -289,44 +259,6 @@ pub fn run(args: &[String]) -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
-}
-
-/// Hand-rolled JSON report (the workspace has no serde).
-pub fn render_analysis_report(
-    findings: &[AnalysisFinding],
-    active: &BTreeMap<&str, usize>,
-    allowed: &BTreeMap<&str, usize>,
-    wall_time_seconds: f64,
-) -> String {
-    let mut s = String::from("{\n  \"findings\": [\n");
-    for (i, f) in findings.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"allowed\": {}, \
-             \"message\": \"{}\", \"witness\": \"{}\"}}{}\n",
-            crate::json_escape(f.rule),
-            crate::json_escape(&f.file),
-            f.line,
-            f.allowed,
-            crate::json_escape(&f.message),
-            crate::json_escape(&f.witness),
-            if i + 1 < findings.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n  \"counts\": {\n");
-    let rules: Vec<&&str> = active.keys().collect();
-    for (i, rule) in rules.iter().enumerate() {
-        s.push_str(&format!(
-            "    \"{}\": {{\"active\": {}, \"allowed\": {}}}{}\n",
-            crate::json_escape(rule),
-            active.get(**rule).unwrap_or(&0),
-            allowed.get(**rule).unwrap_or(&0),
-            if i + 1 < rules.len() { "," } else { "" }
-        ));
-    }
-    s.push_str(&format!(
-        "  }},\n  \"wall_time_seconds\": {wall_time_seconds:.3}\n}}\n"
-    ));
-    s
 }
 
 /// The ratcheted counts, each of which may only fall: active findings
@@ -381,7 +313,7 @@ pub fn parse_baseline(s: &str) -> Result<Counts, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tesla_analysis::Workspace;
+    use tesla_analysis::{Finding, Workspace};
 
     fn fixture_ws(files: &[(&str, &str)]) -> Workspace {
         Workspace::from_sources(
@@ -427,7 +359,7 @@ mod tests {
     const BLOCKING_TP: &str = include_str!("../fixtures/analysis/blocking_tp.rs");
     const BLOCKING_TN: &str = include_str!("../fixtures/analysis/blocking_tn.rs");
 
-    fn active_for(src: &str, rule: &str) -> Vec<AnalysisFinding> {
+    fn active_for(src: &str, rule: &str) -> Vec<Finding> {
         let ws = fixture_ws(&[("fixture.rs", src)]);
         ws.analyze(&fixture_cfg())
             .into_iter()
@@ -614,7 +546,7 @@ mod tests {
 
     #[test]
     fn report_shape_includes_witness_and_wall_time() {
-        let findings = vec![AnalysisFinding {
+        let findings = vec![Finding {
             rule: RULE_PANIC,
             file: "crates/core/src/x.rs".into(),
             line: 7,
@@ -622,14 +554,8 @@ mod tests {
             witness: "decide -> x [crates/core/src/x.rs:7]".into(),
             allowed: false,
         }];
-        let mut active: BTreeMap<&str, usize> = BTreeMap::new();
-        let mut allowed: BTreeMap<&str, usize> = BTreeMap::new();
-        for rule in ANALYSIS_RULES {
-            active.insert(rule, 0);
-            allowed.insert(rule, 0);
-        }
-        active.insert(RULE_PANIC, 1);
-        let json = render_analysis_report(&findings, &active, &allowed, 0.25);
+        let counts = count_by_rule(&ANALYSIS_RULES, &findings);
+        let json = crate::render_report(&findings, &counts, 0.25);
         assert!(json.contains("\"witness\": \"decide -> x [crates/core/src/x.rs:7]\""));
         assert!(json.contains("\"wall_time_seconds\": 0.250"));
         assert!(json.contains(&format!(

@@ -1,30 +1,21 @@
-//! Line-based lint rules for the TESLA control stack.
+//! The nine `cargo xtask lint` rules for the TESLA control stack.
 //!
-//! Deliberately not a real parser: every rule works on source lines plus
-//! a small amount of brace/paren counting, so the driver builds with no
-//! external dependencies (no `syn`, no `regex`, no nightly). The rules
-//! are heuristics tuned to this workspace's idiom; the escape hatch for
-//! a deliberate exception is an allowlist comment on the finding line or
-//! the line directly above it:
+//! Every rule reads one file of a [`Workspace`] through a [`Source`]:
+//! its code tokens, with comments and the parser's test items left out,
+//! and for the two public-API rules the parser's fn signatures. So the
+//! lexer alone decides what is code, a comment or a string literal, and
+//! the parser alone what is test code. The rules are heuristics tuned to
+//! this workspace's idiom; the escape hatch for a deliberate exception is
+//! an allowlist comment on the finding line or the `//` line directly
+//! above it (see [`Workspace::allowed`]):
 //!
 //! ```text
 //! // lint:allow(<rule-name>): optional reason
 //! ```
 
-/// One lint finding, before allowlist filtering.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Finding {
-    /// Rule identifier, e.g. `no-unwrap-in-control-path`.
-    pub rule: &'static str,
-    /// Repo-relative path of the offending file.
-    pub file: String,
-    /// 1-based line number.
-    pub line: usize,
-    /// Human-readable description.
-    pub message: String,
-    /// True when an allowlist comment suppresses the finding.
-    pub allowed: bool,
-}
+use std::collections::{BTreeMap, BTreeSet};
+use tesla_analysis::lexer::{lex, Token, TokenKind};
+use tesla_analysis::{Finding, Workspace};
 
 pub const RULE_RAW_F64: &str = "no-raw-f64-in-public-api";
 pub const RULE_UNWRAP: &str = "no-unwrap-in-control-path";
@@ -48,6 +39,102 @@ pub const ALL_RULES: [&str; 9] = [
     RULE_ZONE_INDEX,
 ];
 
+/// Runs the rule named `rule` over one file. `variants` are `Rung`'s,
+/// for `supervisor-transition-exhaustive`.
+pub fn check(rule: &str, src: &Source, variants: &[String]) -> Vec<Finding> {
+    match rule {
+        RULE_RAW_F64 => check_api_types(src, &RAW_F64_SPEC),
+        RULE_UNWRAP => check_calls(src, RULE_UNWRAP, &[".unwrap()"], |_| {
+            "unwrap() in control path; propagate the error or use expect with context".to_string()
+        }),
+        RULE_RUNG => check_rung_matches(src, variants),
+        RULE_SETPOINT => check_setpoint_literal(src),
+        RULE_METRIC => check_metric_names(src),
+        RULE_WAL => check_framed_reads(src, &WAL_READ_SPEC),
+        RULE_CHECKPOINT => check_framed_reads(src, &CHECKPOINT_READ_SPEC),
+        RULE_REACTOR => check_calls(src, RULE_REACTOR, &BLOCKING_CALL_PATTERNS, |spelled| {
+            format!(
+                "`{spelled}` can block a reactor thread; use non-blocking I/O, or move the \
+                 work to a dedicated thread and allowlist it with the thread named"
+            )
+        }),
+        RULE_ZONE_INDEX => check_api_types(src, &ZONE_INDEX_SPEC),
+        other => panic!("unknown lint rule `{other}`"),
+    }
+}
+
+/// One workspace file as the rules read it.
+pub struct Source<'a> {
+    ws: &'a Workspace,
+    file: usize,
+    /// The file's tokens outside comments and test items, in order.
+    code: Vec<&'a Token>,
+}
+
+impl<'a> Source<'a> {
+    pub fn new(ws: &'a Workspace, file: usize) -> Self {
+        let tests = &ws.tests[file];
+        let code = ws.tokens[file]
+            .iter()
+            .enumerate()
+            .filter(|&(i, t)| {
+                t.kind != TokenKind::Comment && !tests.iter().any(|&(s, e)| (s..e).contains(&i))
+            })
+            .map(|(_, t)| t)
+            .collect();
+        Source { ws, file, code }
+    }
+
+    /// A finding of `rule` at `line`, allowlisted by [`Workspace::allowed`].
+    fn finding(&self, rule: &'static str, line: u32, message: String) -> Finding {
+        Finding {
+            rule,
+            file: self.ws.paths[self.file].clone(),
+            line,
+            message,
+            witness: String::new(),
+            allowed: self.ws.allowed(self.file, line, rule),
+        }
+    }
+
+    /// Whether the code tokens from position `k` on spell `pattern`.
+    fn spells(&self, k: usize, pattern: &[Token]) -> bool {
+        pattern
+            .iter()
+            .enumerate()
+            .all(|(j, p)| self.code.get(k + j).is_some_and(|t| t.text == p.text))
+    }
+}
+
+/// One finding per line where a call in `patterns` (Rust spellings,
+/// lexed) begins, naming the first such pattern in list order;
+/// `message` gets the call's name.
+fn check_calls(
+    src: &Source,
+    rule: &'static str,
+    patterns: &[&str],
+    message: impl Fn(&str) -> String,
+) -> Vec<Finding> {
+    let lexed: Vec<Vec<Token>> = patterns.iter().map(|p| lex(p)).collect();
+    let mut first: BTreeMap<u32, usize> = BTreeMap::new();
+    for k in 0..src.code.len() {
+        if let Some(ix) = lexed.iter().position(|p| src.spells(k, p)) {
+            let on_line = first.entry(src.code[k].line).or_insert(ix);
+            *on_line = ix.min(*on_line);
+        }
+    }
+    first
+        .into_iter()
+        .map(|(line, ix)| {
+            let spelled: String = patterns[ix]
+                .chars()
+                .filter(|c| !".()&".contains(*c))
+                .collect();
+            src.finding(rule, line, message(&spelled))
+        })
+        .collect()
+}
+
 /// Identifier words that mark an item as temperature/power-bearing for
 /// `no-raw-f64-in-public-api`. Matched as prefixes of the
 /// underscore-separated words of each identifier, case-insensitively
@@ -56,341 +143,128 @@ const QUANTITY_FRAGMENTS: [&str; 10] = [
     "temp", "celsius", "setpoint", "power", "kw", "watt", "energy", "degc", "joule", "aisle",
 ];
 
-/// Marks the lines that belong to `#[cfg(test)]` modules so control-path
-/// rules skip test code. Returns one flag per line (true = test code).
-pub fn test_line_mask(lines: &[&str]) -> Vec<bool> {
-    let mut mask = vec![false; lines.len()];
-    let mut i = 0;
-    while i < lines.len() {
-        if !lines[i].trim_start().starts_with("#[cfg(test)]") {
-            i += 1;
-            continue;
-        }
-        // Walk the item header (further attributes, doc comments, the
-        // item line itself) up to its opening `{` — judged on
-        // comment-stripped code, so a brace inside a comment cannot
-        // derail the scan — or up to a `;` for bodyless items like
-        // `#[cfg(test)] use …;`, where only the item itself is masked.
-        let mut j = i;
-        let mut opened = false;
-        while j < lines.len() {
-            mask[j] = true;
-            let code = strip_line_comment(lines[j]);
-            if code.contains('{') {
-                opened = true;
-                break;
-            }
-            if code.trim_end().ends_with(';') {
-                break;
-            }
-            j += 1;
-        }
-        if !opened {
-            i = j + 1;
-            continue;
-        }
-        // Consume the block body by brace counting (the `{` line may
-        // also share the attribute, e.g. `#[cfg(test)] mod tests {`).
-        let mut depth = 0i32;
-        while j < lines.len() {
-            mask[j] = true;
-            depth += brace_delta(lines[j]);
-            if depth <= 0 {
-                break;
-            }
-            j += 1;
-        }
-        i = j + 1;
-    }
-    mask
+/// The underscore-separated words of an identifier, lowercased.
+fn identifier_words(ident: &str) -> impl Iterator<Item = String> + '_ {
+    ident
+        .split('_')
+        .filter(|w| !w.is_empty())
+        .map(str::to_ascii_lowercase)
 }
 
-/// Net `{`/`}` balance of a line, ignoring ones inside `//` comments.
-fn brace_delta(line: &str) -> i32 {
-    let code = strip_line_comment(line);
-    let mut d = 0i32;
-    for c in code.chars() {
-        match c {
-            '{' => d += 1,
-            '}' => d -= 1,
-            _ => {}
-        }
-    }
-    d
-}
-
-/// Everything before a `//` comment marker. Not string-literal aware,
-/// which is fine for this codebase's idiom (no `//` inside literals on
-/// lines these rules care about).
-fn strip_line_comment(line: &str) -> &str {
-    match line.find("//") {
-        Some(ix) => &line[..ix],
-        None => line,
-    }
-}
-
-fn is_comment_line(line: &str) -> bool {
-    let t = line.trim_start();
-    t.starts_with("//")
-        || t.starts_with("/*")
-        || t.starts_with("* ")
-        || t == "*"
-        || t.starts_with("*/")
-}
-
-/// True when `line` (or the line above it) carries `lint:allow(<rule>)`.
-pub fn is_allowed(lines: &[&str], idx: usize, rule: &str) -> bool {
-    let marker = format!("lint:allow({rule})");
-    if lines[idx].contains(&marker) {
-        return true;
-    }
-    idx > 0 && lines[idx - 1].trim_start().starts_with("//") && lines[idx - 1].contains(&marker)
-}
-
-/// Splits a line into identifier-ish tokens, lowercased, then into
-/// underscore-separated words.
-fn identifier_words(text: &str) -> Vec<String> {
-    let mut words = Vec::new();
-    for token in text.split(|c: char| !(c.is_alphanumeric() || c == '_')) {
-        for word in token.split('_') {
-            if !word.is_empty() {
-                words.push(word.to_ascii_lowercase());
-            }
-        }
-    }
-    words
-}
-
-fn has_quantity_word(text: &str) -> bool {
-    identifier_words(text)
-        .iter()
-        .any(|w| QUANTITY_FRAGMENTS.iter().any(|f| w.starts_with(f)))
-}
-
-/// Rule `no-raw-f64-in-public-api`: `pub fn` signatures and `pub` struct
-/// fields in the control crates whose names talk about temperature or
-/// power must not expose raw `f64` — use `tesla-units` newtypes.
-pub fn check_raw_f64(file: &str, lines: &[&str], mask: &[bool]) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let mut in_sig = false;
-    let mut sig_named_quantity = false;
-    let mut sig_allowed = false;
-    let mut paren_depth = 0i32;
-
-    for (i, raw) in lines.iter().enumerate() {
-        if mask[i] || is_comment_line(raw) {
-            continue;
-        }
-        let code = strip_line_comment(raw);
-        let trimmed = code.trim_start();
-
-        if !in_sig {
-            if let Some(rest) = trimmed.strip_prefix("pub fn ") {
-                in_sig = true;
-                paren_depth = 0;
-                let name: String = rest
-                    .chars()
-                    .take_while(|c| c.is_alphanumeric() || *c == '_')
-                    .collect();
-                sig_named_quantity = has_quantity_word(&name);
-                // An allow on the `pub fn` line (or directly above it)
-                // covers the whole multi-line signature.
-                sig_allowed = is_allowed(lines, i, RULE_RAW_F64);
-            }
-        }
-
-        if in_sig {
-            if code.contains("f64") && (sig_named_quantity || has_quantity_word(code)) {
-                findings.push(Finding {
-                    rule: RULE_RAW_F64,
-                    file: file.to_string(),
-                    line: i + 1,
-                    message: "raw f64 in public temperature/power signature; \
-                              use a tesla-units newtype"
-                        .to_string(),
-                    allowed: sig_allowed || is_allowed(lines, i, RULE_RAW_F64),
-                });
-            }
-            for c in code.chars() {
-                match c {
-                    '(' => paren_depth += 1,
-                    ')' => paren_depth -= 1,
-                    _ => {}
-                }
-            }
-            if paren_depth <= 0 && (code.contains('{') || code.trim_end().ends_with(';')) {
-                in_sig = false;
-            }
-            continue;
-        }
-
-        // `pub` struct/enum fields (skip other `pub` items).
-        if let Some(rest) = trimmed.strip_prefix("pub ") {
-            let keyword = rest.split_whitespace().next().unwrap_or("");
-            let is_item = matches!(
-                keyword,
-                "fn" | "struct"
-                    | "enum"
-                    | "mod"
-                    | "use"
-                    | "const"
-                    | "static"
-                    | "type"
-                    | "trait"
-                    | "impl"
-                    | "crate"
-                    | "unsafe"
-                    | "async"
-            );
-            if !is_item && rest.contains(':') && code.contains("f64") {
-                let field_name = rest.split(':').next().unwrap_or("");
-                if has_quantity_word(field_name) {
-                    findings.push(Finding {
-                        rule: RULE_RAW_F64,
-                        file: file.to_string(),
-                        line: i + 1,
-                        message: format!(
-                            "public field `{}` holds a temperature/power quantity as raw f64; \
-                             use a tesla-units newtype",
-                            field_name.trim()
-                        ),
-                        allowed: is_allowed(lines, i, RULE_RAW_F64),
-                    });
-                }
-            }
-        }
-    }
-    findings
+fn has_quantity_word(ident: &str) -> bool {
+    identifier_words(ident).any(|w| QUANTITY_FRAGMENTS.iter().any(|f| w.starts_with(f)))
 }
 
 /// True when an identifier word is exactly `zone` — the singular form
 /// used when addressing one zone. Plural counts (`zones`, `n_zones`)
 /// and the newtype's own name (`ZoneId` lowercases to "zoneid") stay
 /// out of scope: a fleet size is a quantity, not an address.
-fn names_zone(text: &str) -> bool {
-    identifier_words(text).iter().any(|w| w == "zone")
+fn names_zone(ident: &str) -> bool {
+    identifier_words(ident).any(|w| w == "zone")
 }
 
-/// Rule `no-raw-zone-index-in-public-api`: `pub fn` signatures and
-/// `pub` struct fields in the fleet crate that address a zone must
-/// carry `tesla_units::ZoneId`, never a raw `usize` index — a raw
-/// index silently re-keys across topologies, while the newtype keeps
-/// zone addressing type-checked end to end (historian prefixes, TLP
-/// `STATUS z<i>`, coordinator decisions).
-pub fn check_zone_index(file: &str, lines: &[&str], mask: &[bool]) -> Vec<Finding> {
+/// One public-API type rule: `pub fn` signatures and `pub` fields whose
+/// identifiers `names` picks out must not spell the raw type.
+pub struct ApiTypeSpec {
+    /// Rule identifier reported in findings and matched by allowlists.
+    pub rule: &'static str,
+    /// The raw type the rule bans.
+    pub raw_type: &'static str,
+    /// Whether an identifier names what the rule protects.
+    pub names: fn(&str) -> bool,
+    /// Message for a signature line, before the fix.
+    pub signature: &'static str,
+    /// What a flagged field does, after "public field `<name>`".
+    pub field: &'static str,
+    /// The fix every message ends with.
+    pub fix: &'static str,
+}
+
+/// `no-raw-f64-in-public-api`: public signatures and fields in the
+/// control crates whose names talk about temperature or power must not
+/// expose raw `f64` — use `tesla-units` newtypes.
+pub const RAW_F64_SPEC: ApiTypeSpec = ApiTypeSpec {
+    rule: RULE_RAW_F64,
+    raw_type: "f64",
+    names: has_quantity_word,
+    signature: "raw f64 in public temperature/power signature",
+    field: "holds a temperature/power quantity as raw f64",
+    fix: "use a tesla-units newtype",
+};
+
+/// `no-raw-zone-index-in-public-api`: public signatures and fields in
+/// the fleet crate that address a zone must carry `tesla_units::ZoneId`,
+/// never a raw `usize` index — a raw index silently re-keys across
+/// topologies, while the newtype keeps zone addressing type-checked end
+/// to end (historian prefixes, TLP `STATUS z<i>`, coordinator decisions).
+pub const ZONE_INDEX_SPEC: ApiTypeSpec = ApiTypeSpec {
+    rule: RULE_ZONE_INDEX,
+    raw_type: "usize",
+    names: names_zone,
+    signature: "raw usize zone index in public signature",
+    field: "addresses a zone by raw usize index",
+    fix: "use tesla_units::ZoneId",
+};
+
+/// Table-driven public-API type rule over `spec`. A signature line is
+/// flagged when it spells the raw type and the fn's name or an
+/// identifier on that line is one `spec.names` picks out; a `pub` field
+/// when its name is picked out and its line spells the raw type. An
+/// allow on the `pub fn` line covers the whole signature.
+fn check_api_types(src: &Source, spec: &ApiTypeSpec) -> Vec<Finding> {
+    let tokens = &src.ws.tokens[src.file];
     let mut findings = Vec::new();
-    let mut in_sig = false;
-    let mut sig_named_zone = false;
-    let mut sig_allowed = false;
-    let mut paren_depth = 0i32;
-
-    for (i, raw) in lines.iter().enumerate() {
-        if mask[i] || is_comment_line(raw) {
-            continue;
-        }
-        let code = strip_line_comment(raw);
-        let trimmed = code.trim_start();
-
-        if !in_sig {
-            if let Some(rest) = trimmed.strip_prefix("pub fn ") {
-                in_sig = true;
-                paren_depth = 0;
-                let name: String = rest
-                    .chars()
-                    .take_while(|c| c.is_alphanumeric() || *c == '_')
-                    .collect();
-                sig_named_zone = names_zone(&name);
-                // An allow on the `pub fn` line (or directly above it)
-                // covers the whole multi-line signature.
-                sig_allowed = is_allowed(lines, i, RULE_ZONE_INDEX);
-            }
-        }
-
-        if in_sig {
-            if code.contains("usize") && (sig_named_zone || names_zone(code)) {
-                findings.push(Finding {
-                    rule: RULE_ZONE_INDEX,
-                    file: file.to_string(),
-                    line: i + 1,
-                    message: "raw usize zone index in public signature; \
-                              use tesla_units::ZoneId"
-                        .to_string(),
-                    allowed: sig_allowed || is_allowed(lines, i, RULE_ZONE_INDEX),
-                });
-            }
-            for c in code.chars() {
-                match c {
-                    '(' => paren_depth += 1,
-                    ')' => paren_depth -= 1,
-                    _ => {}
-                }
-            }
-            if paren_depth <= 0 && (code.contains('{') || code.trim_end().ends_with(';')) {
-                in_sig = false;
-            }
-            continue;
-        }
-
-        // `pub` struct/enum fields (skip other `pub` items).
-        if let Some(rest) = trimmed.strip_prefix("pub ") {
-            let keyword = rest.split_whitespace().next().unwrap_or("");
-            let is_item = matches!(
-                keyword,
-                "fn" | "struct"
-                    | "enum"
-                    | "mod"
-                    | "use"
-                    | "const"
-                    | "static"
-                    | "type"
-                    | "trait"
-                    | "impl"
-                    | "crate"
-                    | "unsafe"
-                    | "async"
-            );
-            if !is_item && rest.contains(':') && code.contains("usize") {
-                let field_name = rest.split(':').next().unwrap_or("");
-                if names_zone(field_name) {
-                    findings.push(Finding {
-                        rule: RULE_ZONE_INDEX,
-                        file: file.to_string(),
-                        line: i + 1,
-                        message: format!(
-                            "public field `{}` addresses a zone by raw usize index; \
-                             use tesla_units::ZoneId",
-                            field_name.trim()
-                        ),
-                        allowed: is_allowed(lines, i, RULE_ZONE_INDEX),
-                    });
-                }
+    let pub_fns = src.ws.graph.fns.iter().map(|f| &f.def).filter(|d| {
+        d.file == src.file
+            && tokens[..d.start]
+                .iter()
+                .rfind(|t| t.kind != TokenKind::Comment)
+                .is_some_and(|t| t.is_ident("pub"))
+    });
+    for def in pub_fns {
+        let idents: Vec<&Token> = tokens[def.start..def.body.0]
+            .iter()
+            .filter(|t| t.kind == TokenKind::Ident)
+            .collect();
+        let sig_allowed = src.ws.allowed(src.file, def.line, spec.rule);
+        let raw_lines: BTreeSet<u32> = idents
+            .iter()
+            .filter(|t| t.text == spec.raw_type)
+            .map(|t| t.line)
+            .collect();
+        for line in raw_lines {
+            if (spec.names)(&def.name)
+                || idents
+                    .iter()
+                    .any(|t| t.line == line && (spec.names)(&t.text))
+            {
+                let mut f =
+                    src.finding(spec.rule, line, format!("{}; {}", spec.signature, spec.fix));
+                f.allowed |= sig_allowed;
+                findings.push(f);
             }
         }
     }
-    findings
-}
-
-/// Rule `no-unwrap-in-control-path`: `.unwrap()` is forbidden in
-/// non-test code of the control crates — propagate with `?`, handle, or
-/// `expect` with context (and an allowlist comment explaining why the
-/// invariant holds).
-pub fn check_unwrap(file: &str, lines: &[&str], mask: &[bool]) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for (i, raw) in lines.iter().enumerate() {
-        if mask[i] || is_comment_line(raw) {
-            continue;
-        }
-        let code = strip_line_comment(raw);
-        if code.contains(".unwrap()") {
-            findings.push(Finding {
-                rule: RULE_UNWRAP,
-                file: file.to_string(),
-                line: i + 1,
-                message: "unwrap() in control path; propagate the error or use \
-                          expect with context"
-                    .to_string(),
-                allowed: is_allowed(lines, i, RULE_UNWRAP),
-            });
+    let code = &src.code;
+    for k in 0..code.len() {
+        let field = match code.get(k..k + 4) {
+            Some([vis, name, colon, next])
+                if vis.is_ident("pub")
+                    && name.kind == TokenKind::Ident
+                    && colon.is_punct(':')
+                    && !next.is_punct(':') =>
+            {
+                name
+            }
+            _ => continue,
+        };
+        let raw = code[k + 3..]
+            .iter()
+            .take_while(|t| t.line == field.line)
+            .any(|t| t.is_ident(spec.raw_type));
+        if raw && (spec.names)(&field.text) {
+            let message = format!("public field `{}` {}; {}", field.text, spec.field, spec.fix);
+            findings.push(src.finding(spec.rule, field.line, message));
         }
     }
     findings
@@ -400,123 +274,164 @@ pub fn check_unwrap(file: &str, lines: &[&str], mask: &[bool]) -> Vec<Finding> {
 /// pattern-match `Rung::` variants must name every rung and must not
 /// use a `_` wildcard arm — adding a ladder rung must break the build
 /// until every transition site decides what to do with it.
-pub fn check_rung_matches(
-    file: &str,
-    lines: &[&str],
-    mask: &[bool],
-    variants: &[String],
-) -> Vec<Finding> {
+fn check_rung_matches(src: &Source, variants: &[String]) -> Vec<Finding> {
+    let code = &src.code;
+    let is_rung_path = |k: usize| {
+        code[k].is_ident("Rung")
+            && code.get(k + 1).is_some_and(|t| t.is_punct(':'))
+            && code.get(k + 2).is_some_and(|t| t.is_punct(':'))
+    };
+    let is_arrow = |k: usize| {
+        code.get(k).is_some_and(|t| t.is_punct('='))
+            && code.get(k + 1).is_some_and(|t| t.is_punct('>'))
+    };
     let mut findings = Vec::new();
-    let mut i = 0;
-    while i < lines.len() {
-        let code = strip_line_comment(lines[i]);
-        if mask[i] || is_comment_line(lines[i]) || !code.contains("match ") || !code.contains('{') {
-            i += 1;
+    for (m, t) in code.iter().enumerate() {
+        if !t.is_ident("match") {
             continue;
         }
-        // Capture the match block by brace counting.
-        let start = i;
+        // The arms: from the first `{` after `match` to its `}`.
+        let Some(open) = (m + 1..code.len()).find(|&k| code[k].is_punct('{')) else {
+            continue;
+        };
         let mut depth = 0i32;
-        let mut end = i;
-        for (j, l) in lines.iter().enumerate().skip(i) {
-            depth += brace_delta(l);
-            if depth <= 0 {
-                end = j;
+        let mut in_pattern = true;
+        let mut pattern_names_rung = false;
+        let mut rung_match = false;
+        let mut wildcards = Vec::new();
+        let mut close = code.len();
+        for k in open..code.len() {
+            let tk = code[k];
+            match tk.text.as_str() {
+                "{" | "(" | "[" => depth += 1,
+                "}" | ")" | "]" => {
+                    depth -= 1;
+                    // A block arm body ends its arm.
+                    if depth == 1 && tk.is_punct('}') && !in_pattern {
+                        in_pattern = true;
+                        pattern_names_rung = false;
+                    }
+                }
+                "," if depth == 1 => {
+                    in_pattern = true;
+                    pattern_names_rung = false;
+                }
+                _ if in_pattern && is_rung_path(k) => pattern_names_rung = true,
+                _ if depth == 1 && in_pattern && is_arrow(k) => {
+                    rung_match |= pattern_names_rung;
+                    in_pattern = false;
+                }
+                "_" if depth == 1
+                    && in_pattern
+                    && (code[k - 1].is_punct('|')
+                        || code.get(k + 1).is_some_and(|n| n.is_punct('|'))
+                        || is_arrow(k + 1)) =>
+                {
+                    wildcards.push(tk.line);
+                }
+                _ => {}
+            }
+            if depth == 0 {
+                close = k;
                 break;
             }
-            end = j;
         }
-        let block: Vec<&str> = lines[start..=end].to_vec();
-        // Only matches that pattern-match Rung variants in arm position.
-        let is_rung_match = block.iter().skip(1).any(|l| {
-            let c = strip_line_comment(l);
-            c.contains("Rung::") && c.contains("=>") && {
-                let pat = c.split("=>").next().unwrap_or("");
-                pat.contains("Rung::")
-            }
-        });
-        if is_rung_match {
-            for (j, l) in block.iter().enumerate().skip(1) {
-                let c = strip_line_comment(l);
-                let t = c.trim_start();
-                if t.starts_with("_ =>") || t.starts_with("_ |") || c.contains("| _ ") {
-                    findings.push(Finding {
-                        rule: RULE_RUNG,
-                        file: file.to_string(),
-                        line: start + j + 1,
-                        message: "wildcard arm in Rung match; name every rung so new \
-                                  rungs force a decision here"
-                            .to_string(),
-                        allowed: is_allowed(lines, start + j, RULE_RUNG),
-                    });
-                }
-            }
-            let body = block.join("\n");
-            for v in variants {
-                if !body.contains(&format!("Rung::{v}")) {
-                    findings.push(Finding {
-                        rule: RULE_RUNG,
-                        file: file.to_string(),
-                        line: start + 1,
-                        message: format!("Rung match does not cover `Rung::{v}`"),
-                        allowed: is_allowed(lines, start, RULE_RUNG),
-                    });
-                }
+        if !rung_match {
+            continue;
+        }
+        for line in wildcards {
+            let message = "wildcard arm in Rung match; name every rung so new rungs force a \
+                           decision here";
+            findings.push(src.finding(RULE_RUNG, line, message.to_string()));
+        }
+        for v in variants {
+            let named = (m..close)
+                .any(|k| is_rung_path(k) && code.get(k + 3).is_some_and(|n| n.text == *v));
+            if !named {
+                let message = format!("Rung match does not cover `Rung::{v}`");
+                findings.push(src.finding(RULE_RUNG, t.line, message));
             }
         }
-        i = end.max(i) + 1;
     }
     findings
+}
+
+/// Extracts the variant names of `pub enum Rung` from the tokens of the
+/// supervisor source.
+pub fn rung_variants(tokens: &[Token]) -> Vec<String> {
+    let code: Vec<&Token> = tokens
+        .iter()
+        .filter(|t| t.kind != TokenKind::Comment)
+        .collect();
+    let Some(open) = code.windows(4).position(|w| {
+        w[0].is_ident("pub") && w[1].is_ident("enum") && w[2].is_ident("Rung") && w[3].is_punct('{')
+    }) else {
+        return Vec::new();
+    };
+    let mut variants = Vec::new();
+    let mut depth = 0;
+    let mut expect_variant = true;
+    for t in &code[open + 3..] {
+        match t.text.as_str() {
+            "{" | "(" | "[" => depth += 1,
+            "}" | ")" | "]" => {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            "," if depth == 1 => expect_variant = true,
+            _ if depth == 1 && expect_variant && t.kind == TokenKind::Ident => {
+                variants.push(t.text.clone());
+                expect_variant = false;
+            }
+            _ => {}
+        }
+    }
+    variants
 }
 
 /// Rule `bounded-setpoint-literal`: a numeric set-point literal wrapped
 /// straight into `Celsius::new(...)` bypasses the paper's operating
 /// envelope; go through `tesla_units::SETPOINT_RANGE` (`.clamp`,
-/// `.check`, or its `min()`/`max()` endpoints) instead.
-pub fn check_setpoint_literal(file: &str, lines: &[&str], mask: &[bool]) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for (i, raw) in lines.iter().enumerate() {
-        if mask[i] || is_comment_line(raw) {
-            continue;
+/// `.check`, or its `min()`/`max()` endpoints) instead. A line is
+/// flagged when it names a set-point, wraps a number literal in
+/// `Celsius::new(`, and does not name `SETPOINT_RANGE`.
+fn check_setpoint_literal(src: &Source) -> Vec<Finding> {
+    let wrap = lex("Celsius::new(");
+    let (mut setpoint, mut range, mut literal) =
+        (BTreeSet::new(), BTreeSet::new(), BTreeSet::new());
+    for (k, t) in src.code.iter().enumerate() {
+        if t.kind == TokenKind::Ident {
+            if t.text == "SETPOINT_RANGE" {
+                range.insert(t.line);
+            }
+            if identifier_words(&t.text).any(|w| w.starts_with("setpoint")) {
+                setpoint.insert(t.line);
+            }
         }
-        let code = strip_line_comment(raw);
-        if code.contains("SETPOINT_RANGE") {
-            continue;
-        }
-        let names_setpoint = identifier_words(code)
-            .iter()
-            .any(|w| w.starts_with("setpoint"));
-        if !names_setpoint {
-            continue;
-        }
-        if has_numeric_celsius_literal(code) {
-            findings.push(Finding {
-                rule: RULE_SETPOINT,
-                file: file.to_string(),
-                line: i + 1,
-                message: "numeric set-point literal; validate through \
-                          tesla_units::SETPOINT_RANGE"
-                    .to_string(),
-                allowed: is_allowed(lines, i, RULE_SETPOINT),
-            });
+        if src.spells(k, &wrap) {
+            let mut arg = k + wrap.len();
+            if src.code.get(arg).is_some_and(|a| a.is_punct('-')) {
+                arg += 1;
+            }
+            if src
+                .code
+                .get(arg)
+                .is_some_and(|a| a.kind == TokenKind::Number)
+            {
+                literal.insert(t.line);
+            }
         }
     }
-    findings
-}
-
-/// True when the line contains `Celsius::new(<numeric literal>`.
-fn has_numeric_celsius_literal(code: &str) -> bool {
-    let mut rest = code;
-    while let Some(ix) = rest.find("Celsius::new(") {
-        let after = &rest[ix + "Celsius::new(".len()..];
-        let after = after.trim_start();
-        let after = after.strip_prefix('-').unwrap_or(after);
-        if after.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-            return true;
-        }
-        rest = &rest[ix + "Celsius::new(".len()..];
-    }
-    false
+    literal
+        .into_iter()
+        .filter(|l| setpoint.contains(l) && !range.contains(l))
+        .map(|line| {
+            let message = "numeric set-point literal; validate through tesla_units::SETPOINT_RANGE";
+            src.finding(RULE_SETPOINT, line, message.to_string())
+        })
+        .collect()
 }
 
 /// Unit suffixes accepted as the final word of gauge/histogram names.
@@ -550,35 +465,27 @@ const METRIC_CONSTRUCTORS: [(&str, &str); 6] = [
 /// Rule `metric-name-format`: metric names passed to the tesla-obs
 /// constructors must be snake_case; counters must end in `_total`;
 /// gauges and histograms must end in a known unit suffix so dashboards
-/// never have to guess units. Non-literal names (variables) are out of
-/// scope for this line-based rule.
-pub fn check_metric_names(file: &str, lines: &[&str], mask: &[bool]) -> Vec<Finding> {
+/// never have to guess units. Names that are not a plain string literal
+/// (variables) are out of scope.
+fn check_metric_names(src: &Source) -> Vec<Finding> {
+    let constructors: Vec<(Vec<Token>, &str)> = METRIC_CONSTRUCTORS
+        .iter()
+        .map(|(p, kind)| (lex(p), *kind))
+        .collect();
     let mut findings = Vec::new();
-    for (i, raw) in lines.iter().enumerate() {
-        if mask[i] || is_comment_line(raw) {
-            continue;
-        }
-        let code = strip_line_comment(raw);
-        for (pattern, kind) in METRIC_CONSTRUCTORS {
-            let mut rest = code;
-            while let Some(ix) = rest.find(pattern) {
-                let after = rest[ix + pattern.len()..].trim_start();
-                rest = &rest[ix + pattern.len()..];
-                let Some(literal) = after.strip_prefix('"') else {
-                    continue; // name is not a string literal
-                };
-                let Some(name) = literal.split('"').next() else {
-                    continue;
-                };
-                if let Some(problem) = metric_name_problem(name, kind) {
-                    findings.push(Finding {
-                        rule: RULE_METRIC,
-                        file: file.to_string(),
-                        line: i + 1,
-                        message: format!("{kind} `{name}`: {problem}"),
-                        allowed: is_allowed(lines, i, RULE_METRIC),
-                    });
-                }
+    for k in 0..src.code.len() {
+        for (pattern, kind) in &constructors {
+            if !src.spells(k, pattern) {
+                continue;
+            }
+            let literal = src.code.get(k + pattern.len());
+            let Some(name) = literal.and_then(|t| t.text.strip_prefix('"')?.strip_suffix('"'))
+            else {
+                continue;
+            };
+            if let Some(problem) = metric_name_problem(name, kind) {
+                let message = format!("{kind} `{name}`: {problem}");
+                findings.push(src.finding(RULE_METRIC, src.code[k].line, message));
             }
         }
     }
@@ -655,47 +562,13 @@ pub const CHECKPOINT_READ_SPEC: FramedReadSpec = FramedReadSpec {
 /// outside the blessed CRC-checked reader named by `spec`. The reader
 /// itself (and the decoder it calls) carries allowlist comments; any
 /// other raw byte parse in scope is a finding.
-pub fn check_framed_reads(
-    file: &str,
-    lines: &[&str],
-    mask: &[bool],
-    spec: &FramedReadSpec,
-) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for (i, raw) in lines.iter().enumerate() {
-        if mask[i] || is_comment_line(raw) {
-            continue;
-        }
-        let code = strip_line_comment(raw);
-        for p in FRAMED_READ_PATTERNS {
-            if code.contains(p) {
-                let spelled: String = p.chars().filter(|c| !".()&".contains(*c)).collect();
-                findings.push(Finding {
-                    rule: spec.rule,
-                    file: file.to_string(),
-                    line: i + 1,
-                    message: format!(
-                        "`{spelled}` deserializes bytes outside the CRC-checked {} \
-                         reader; route through `{}`",
-                        spec.subject, spec.reader
-                    ),
-                    allowed: is_allowed(lines, i, spec.rule),
-                });
-                break; // one finding per line is enough
-            }
-        }
-    }
-    findings
-}
-
-/// Rule `no-unchecked-wal-read` over [`WAL_READ_SPEC`].
-pub fn check_wal_reads(file: &str, lines: &[&str], mask: &[bool]) -> Vec<Finding> {
-    check_framed_reads(file, lines, mask, &WAL_READ_SPEC)
-}
-
-/// Rule `no-unframed-checkpoint-read` over [`CHECKPOINT_READ_SPEC`].
-pub fn check_checkpoint_reads(file: &str, lines: &[&str], mask: &[bool]) -> Vec<Finding> {
-    check_framed_reads(file, lines, mask, &CHECKPOINT_READ_SPEC)
+fn check_framed_reads(src: &Source, spec: &FramedReadSpec) -> Vec<Finding> {
+    check_calls(src, spec.rule, &FRAMED_READ_PATTERNS, |spelled| {
+        format!(
+            "`{spelled}` deserializes bytes outside the CRC-checked {} reader; route through `{}`",
+            spec.subject, spec.reader
+        )
+    })
 }
 
 /// Call spellings that block the calling thread: buffered/exact reads
@@ -703,6 +576,14 @@ pub fn check_checkpoint_reads(file: &str, lines: &[&str], mask: &[bool]) -> Vec<
 /// primitives, filesystem access, and switching a socket back to
 /// blocking mode. `.join()` is matched with its empty argument list so
 /// slice/iterator `join(sep)` stays out of scope.
+///
+/// Rule `no-blocking-io-in-reactor` flags them: the event-loop crates
+/// (`crates/reactor`, `crates/net`) must never block a reactor thread —
+/// one stalled syscall freezes every connection parked on that shard.
+/// Socket I/O must stay non-blocking (`.read(`/`.write(` with
+/// `WouldBlock` handling). Deliberate blocking off the reactor threads
+/// (ingest writer threads, shutdown joins, idle pacing between sweeps)
+/// carries an allowlist comment stating which thread it runs on.
 const BLOCKING_CALL_PATTERNS: [&str; 16] = [
     ".read_exact(",
     ".read_to_end(",
@@ -722,86 +603,32 @@ const BLOCKING_CALL_PATTERNS: [&str; 16] = [
     "std::fs::",
 ];
 
-/// Rule `no-blocking-io-in-reactor`: the event-loop crates
-/// (`crates/reactor`, `crates/net`) must never block a reactor thread —
-/// one stalled syscall freezes every connection parked on that shard.
-/// Socket I/O must stay non-blocking (`.read(`/`.write(` with
-/// `WouldBlock` handling); anything that can park the thread — exact
-/// reads, flushes, fsync, condvars, joins, sleeps, filesystem calls —
-/// is flagged. Deliberate blocking off the reactor threads (ingest
-/// writer threads, shutdown joins, idle pacing between sweeps) carries
-/// an allowlist comment stating which thread it runs on.
-pub fn check_reactor_blocking(file: &str, lines: &[&str], mask: &[bool]) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for (i, raw) in lines.iter().enumerate() {
-        if mask[i] || is_comment_line(raw) {
-            continue;
-        }
-        let code = strip_line_comment(raw);
-        for p in BLOCKING_CALL_PATTERNS {
-            if code.contains(p) {
-                let spelled: String = p.chars().filter(|c| !".()&".contains(*c)).collect();
-                findings.push(Finding {
-                    rule: RULE_REACTOR,
-                    file: file.to_string(),
-                    line: i + 1,
-                    message: format!(
-                        "`{spelled}` can block a reactor thread; use non-blocking \
-                         I/O, or move the work to a dedicated thread and allowlist \
-                         it with the thread named"
-                    ),
-                    allowed: is_allowed(lines, i, RULE_REACTOR),
-                });
-                break; // one finding per line is enough
-            }
-        }
-    }
-    findings
-}
-
-/// Extracts the variant names of `pub enum Rung` from supervisor source.
-pub fn rung_variants(supervisor_src: &str) -> Vec<String> {
-    let lines: Vec<&str> = supervisor_src.lines().collect();
-    let mut variants = Vec::new();
-    let mut in_enum = false;
-    for line in &lines {
-        let code = strip_line_comment(line);
-        let t = code.trim();
-        if t.starts_with("pub enum Rung") {
-            in_enum = true;
-            continue;
-        }
-        if in_enum {
-            if t.starts_with('}') {
-                break;
-            }
-            let name: String = t
-                .chars()
-                .take_while(|c| c.is_alphanumeric() || *c == '_')
-                .collect();
-            if !name.is_empty() && name.chars().next().is_some_and(|c| c.is_ascii_uppercase()) {
-                variants.push(name);
-            }
-        }
-    }
-    variants
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn lines_of(src: &str) -> Vec<&str> {
-        src.lines().collect()
+    const VARIANTS: [&str; 3] = ["Normal", "HoldLastSafe", "SafeMode"];
+
+    fn fixture_ws(src: &str) -> Workspace {
+        Workspace::from_sources(vec![("fixture.rs".to_string(), src.to_string())])
     }
 
-    fn run<F>(src: &str, f: F) -> Vec<Finding>
-    where
-        F: Fn(&str, &[&str], &[bool]) -> Vec<Finding>,
-    {
-        let lines = lines_of(src);
-        let mask = test_line_mask(&lines);
-        f("fixture.rs", &lines, &mask)
+    fn run(src: &str, rule: &str) -> Vec<Finding> {
+        let ws = fixture_ws(src);
+        check(rule, &Source::new(&ws, 0), &VARIANTS.map(String::from))
+    }
+
+    /// One flag per source line: true inside the parser's test items.
+    fn test_line_flags(src: &str) -> Vec<bool> {
+        let ws = fixture_ws(src);
+        let tokens = &ws.tokens[0];
+        (1..=src.lines().count() as u32)
+            .map(|line| {
+                ws.tests[0]
+                    .iter()
+                    .any(|&(s, e)| (tokens[s].line..=tokens[e - 1].line).contains(&line))
+            })
+            .collect()
     }
 
     const RAW_F64_TP: &str = include_str!("../fixtures/raw_f64_tp.rs");
@@ -823,20 +650,9 @@ mod tests {
     const ZONE_INDEX_TP: &str = include_str!("../fixtures/zone_index_tp.rs");
     const ZONE_INDEX_TN: &str = include_str!("../fixtures/zone_index_tn.rs");
 
-    fn rung_fixture(src: &str) -> Vec<Finding> {
-        let variants = vec![
-            "Normal".to_string(),
-            "HoldLastSafe".to_string(),
-            "SafeMode".to_string(),
-        ];
-        let lines = lines_of(src);
-        let mask = test_line_mask(&lines);
-        check_rung_matches("fixture.rs", &lines, &mask, &variants)
-    }
-
     #[test]
     fn raw_f64_true_positive() {
-        let findings = run(RAW_F64_TP, check_raw_f64);
+        let findings = run(RAW_F64_TP, RULE_RAW_F64);
         let active: Vec<_> = findings.iter().filter(|f| !f.allowed).collect();
         assert!(
             active.len() >= 2,
@@ -848,7 +664,7 @@ mod tests {
 
     #[test]
     fn raw_f64_true_negative() {
-        let findings = run(RAW_F64_TN, check_raw_f64);
+        let findings = run(RAW_F64_TN, RULE_RAW_F64);
         let active: Vec<_> = findings.iter().filter(|f| !f.allowed).collect();
         assert!(active.is_empty(), "unexpected findings: {active:?}");
         // The allowlisted bulk-telemetry line is still reported, as allowed.
@@ -857,20 +673,20 @@ mod tests {
 
     #[test]
     fn unwrap_true_positive() {
-        let findings = run(UNWRAP_TP, check_unwrap);
+        let findings = run(UNWRAP_TP, RULE_UNWRAP);
         assert_eq!(findings.iter().filter(|f| !f.allowed).count(), 1);
     }
 
     #[test]
     fn unwrap_true_negative() {
-        let findings = run(UNWRAP_TN, check_unwrap);
+        let findings = run(UNWRAP_TN, RULE_UNWRAP);
         let active: Vec<_> = findings.iter().filter(|f| !f.allowed).collect();
         assert!(active.is_empty(), "unexpected findings: {active:?}");
     }
 
     #[test]
     fn rung_true_positive() {
-        let findings = rung_fixture(RUNG_TP);
+        let findings = run(RUNG_TP, RULE_RUNG);
         let active: Vec<_> = findings.iter().filter(|f| !f.allowed).collect();
         assert!(
             active.iter().any(|f| f.message.contains("wildcard")),
@@ -884,27 +700,27 @@ mod tests {
 
     #[test]
     fn rung_true_negative() {
-        let findings = rung_fixture(RUNG_TN);
+        let findings = run(RUNG_TN, RULE_RUNG);
         let active: Vec<_> = findings.iter().filter(|f| !f.allowed).collect();
         assert!(active.is_empty(), "unexpected findings: {active:?}");
     }
 
     #[test]
     fn setpoint_true_positive() {
-        let findings = run(SETPOINT_TP, check_setpoint_literal);
+        let findings = run(SETPOINT_TP, RULE_SETPOINT);
         assert_eq!(findings.iter().filter(|f| !f.allowed).count(), 1);
     }
 
     #[test]
     fn setpoint_true_negative() {
-        let findings = run(SETPOINT_TN, check_setpoint_literal);
+        let findings = run(SETPOINT_TN, RULE_SETPOINT);
         let active: Vec<_> = findings.iter().filter(|f| !f.allowed).collect();
         assert!(active.is_empty(), "unexpected findings: {active:?}");
     }
 
     #[test]
     fn metric_name_true_positive() {
-        let findings = run(METRIC_TP, check_metric_names);
+        let findings = run(METRIC_TP, RULE_METRIC);
         let active: Vec<_> = findings.iter().filter(|f| !f.allowed).collect();
         assert_eq!(active.len(), 6, "expected 6 violations, got {active:?}");
         assert!(active.iter().any(|f| f.message.contains("snake_case")));
@@ -914,7 +730,7 @@ mod tests {
 
     #[test]
     fn metric_name_true_negative() {
-        let findings = run(METRIC_TN, check_metric_names);
+        let findings = run(METRIC_TN, RULE_METRIC);
         let active: Vec<_> = findings.iter().filter(|f| !f.allowed).collect();
         assert!(active.is_empty(), "unexpected findings: {active:?}");
         // The allowlisted legacy series is still reported, as allowed.
@@ -923,7 +739,7 @@ mod tests {
 
     #[test]
     fn wal_read_true_positive() {
-        let findings = run(WAL_TP, check_wal_reads);
+        let findings = run(WAL_TP, RULE_WAL);
         let active: Vec<_> = findings.iter().filter(|f| !f.allowed).collect();
         assert_eq!(active.len(), 3, "expected 3 violations, got {active:?}");
         assert!(active.iter().any(|f| f.message.contains("from_le_bytes")));
@@ -933,7 +749,7 @@ mod tests {
 
     #[test]
     fn wal_read_true_negative() {
-        let findings = run(WAL_TN, check_wal_reads);
+        let findings = run(WAL_TN, RULE_WAL);
         let active: Vec<_> = findings.iter().filter(|f| !f.allowed).collect();
         assert!(active.is_empty(), "unexpected findings: {active:?}");
         // The frame-decoder line is still reported, as allowed.
@@ -942,7 +758,7 @@ mod tests {
 
     #[test]
     fn checkpoint_read_true_positive() {
-        let findings = run(CHECKPOINT_TP, check_checkpoint_reads);
+        let findings = run(CHECKPOINT_TP, RULE_CHECKPOINT);
         let active: Vec<_> = findings.iter().filter(|f| !f.allowed).collect();
         assert_eq!(active.len(), 3, "expected 3 violations, got {active:?}");
         assert!(active.iter().any(|f| f.message.contains("from_le_bytes")));
@@ -952,7 +768,7 @@ mod tests {
 
     #[test]
     fn checkpoint_read_true_negative() {
-        let findings = run(CHECKPOINT_TN, check_checkpoint_reads);
+        let findings = run(CHECKPOINT_TN, RULE_CHECKPOINT);
         let active: Vec<_> = findings.iter().filter(|f| !f.allowed).collect();
         assert!(active.is_empty(), "unexpected findings: {active:?}");
         // The checked-reader line is still reported, as allowed.
@@ -961,7 +777,7 @@ mod tests {
 
     #[test]
     fn reactor_blocking_true_positive() {
-        let findings = run(REACTOR_TP, check_reactor_blocking);
+        let findings = run(REACTOR_TP, RULE_REACTOR);
         let active: Vec<_> = findings.iter().filter(|f| !f.allowed).collect();
         assert_eq!(active.len(), 10, "expected 10 violations, got {active:?}");
         for spelled in [
@@ -985,7 +801,7 @@ mod tests {
 
     #[test]
     fn reactor_blocking_true_negative() {
-        let findings = run(REACTOR_TN, check_reactor_blocking);
+        let findings = run(REACTOR_TN, RULE_REACTOR);
         let active: Vec<_> = findings.iter().filter(|f| !f.allowed).collect();
         assert!(active.is_empty(), "unexpected findings: {active:?}");
         // The writer-thread condvar wait is still reported, as allowed.
@@ -994,7 +810,7 @@ mod tests {
 
     #[test]
     fn zone_index_true_positive() {
-        let findings = run(ZONE_INDEX_TP, check_zone_index);
+        let findings = run(ZONE_INDEX_TP, RULE_ZONE_INDEX);
         let active: Vec<_> = findings.iter().filter(|f| !f.allowed).collect();
         assert!(
             active.len() >= 2,
@@ -1006,7 +822,7 @@ mod tests {
 
     #[test]
     fn zone_index_true_negative() {
-        let findings = run(ZONE_INDEX_TN, check_zone_index);
+        let findings = run(ZONE_INDEX_TN, RULE_ZONE_INDEX);
         let active: Vec<_> = findings.iter().filter(|f| !f.allowed).collect();
         assert!(active.is_empty(), "unexpected findings: {active:?}");
         // The allowlisted wire-cursor line is still reported, as allowed.
@@ -1027,7 +843,7 @@ mod tests {
     #[test]
     fn allow_comment_on_preceding_line_suppresses() {
         let src = "// lint:allow(no-unwrap-in-control-path): invariant held\nlet x = y.unwrap();\n";
-        let findings = run(src, check_unwrap);
+        let findings = run(src, RULE_UNWRAP);
         assert_eq!(findings.len(), 1);
         assert!(findings[0].allowed);
     }
@@ -1035,15 +851,13 @@ mod tests {
     const TEST_MASK_REGRESSION: &str = include_str!("../fixtures/test_mask_regression.rs");
 
     /// Regression: a comment containing `{` between the attribute and
-    /// the module header must not derail the mask (the raw-line brace
-    /// check used to stop there, leaving the whole module unmasked),
-    /// and `#[cfg(test)]` on a `;`-terminated item must not swallow the
+    /// the module header must not derail the test scopes, and
+    /// `#[cfg(test)]` on a `;`-terminated item must not swallow the
     /// live code that follows it.
     #[test]
     fn test_mask_regression_fixture() {
-        let lines = lines_of(TEST_MASK_REGRESSION);
-        let mask = test_line_mask(&lines);
-        for (i, l) in lines.iter().enumerate() {
+        let mask = test_line_flags(TEST_MASK_REGRESSION);
+        for (i, l) in TEST_MASK_REGRESSION.lines().enumerate() {
             if l.contains("MASKED") {
                 assert!(mask[i], "line {} should be masked: {l}", i + 1);
             }
@@ -1052,7 +866,7 @@ mod tests {
             }
         }
         // The unwrap in live code must be caught once the mask is right.
-        let findings = check_unwrap("fixture.rs", &lines, &mask);
+        let findings = run(TEST_MASK_REGRESSION, RULE_UNWRAP);
         assert_eq!(
             findings.iter().filter(|f| !f.allowed).count(),
             1,
@@ -1063,25 +877,39 @@ mod tests {
     #[test]
     fn test_mask_attr_sharing_brace_line() {
         let src = "fn a() {}\n#[cfg(test)] mod tests {\n    fn b() { x.unwrap(); }\n}\nfn c() {}\n";
-        let lines = lines_of(src);
-        let mask = test_line_mask(&lines);
-        assert_eq!(mask, vec![false, true, true, true, false]);
+        assert_eq!(test_line_flags(src), vec![false, true, true, true, false]);
     }
 
     #[test]
     fn test_mask_covers_cfg_test_modules() {
         let src =
             "fn a() {}\n#[cfg(test)]\nmod tests {\n    fn b() { x.unwrap(); }\n}\nfn c() {}\n";
-        let lines = lines_of(src);
-        let mask = test_line_mask(&lines);
-        assert_eq!(mask, vec![false, true, true, true, true, false]);
+        assert_eq!(
+            test_line_flags(src),
+            vec![false, true, true, true, true, false]
+        );
+    }
+
+    /// What the line reader missed: a `pub fn` that does not begin its
+    /// line, a `match` whose `{` is on the next line, and an unwrap after
+    /// a `//` inside a string literal.
+    #[test]
+    fn tokens_catch_what_a_line_reader_missed() {
+        let one_line_impl = "impl S { pub fn supply_temp(&self) -> f64 { 1.0 } }\n";
+        assert_eq!(run(one_line_impl, RULE_RAW_F64).len(), 1);
+        let brace_below =
+            "fn f(r: Rung) -> u8 {\n    match r\n    {\n        Rung::Normal => 0,\n        _ => 1,\n    }\n}\n";
+        let findings = run(brace_below, RULE_RUNG);
+        assert!(findings.iter().any(|f| f.message.contains("wildcard")));
+        let url = "fn f(m: &M) -> u8 { m.get(\"http://host\").unwrap() }\n";
+        assert_eq!(run(url, RULE_UNWRAP).len(), 1);
     }
 
     #[test]
     fn rung_variant_extraction() {
         let src = "/// doc\npub enum Rung {\n    /// a\n    Normal,\n    HoldLastSafe,\n    SafeMode,\n}\n";
         assert_eq!(
-            rung_variants(src),
+            rung_variants(&lex(src)),
             vec!["Normal", "HoldLastSafe", "SafeMode"]
         );
     }

@@ -1,9 +1,17 @@
 //! Workspace automation for the TESLA repro.
 //!
-//! `cargo xtask lint [--deny] [--report <path>]` runs the custom
-//! static-analysis pass over the control crates (`crates/core`,
-//! `crates/sim`, `crates/forecast`). See `lints.rs` for the rules and
-//! DESIGN.md ("Static analysis & unit safety") for the rationale.
+//! - `cargo xtask lint [--deny] [--report <path>]` runs the nine local
+//!   rules of `lints.rs`, each over the crates [`LINT_SCOPES`] gives it.
+//! - `cargo xtask analyze` runs the four call-graph rules of
+//!   `tesla-analysis` (see `analyze.rs`).
+//! - `check-fixtures` and `check-links` check the rules' fixtures and the
+//!   docs' relative links; `bench-ab <base-rev>` is the benchmark gate
+//!   (see `bench.rs`).
+//!
+//! `lint` and `analyze` read one [`Workspace`] built from the same source
+//! list, allow a finding by the same `lint:allow(<rule>)` check, and
+//! write the same JSON report. See DESIGN.md ("Static analysis & unit
+//! safety") for the rationale.
 //!
 //! Exit status: 0 when no active (non-allowlisted) findings, or when
 //! run without `--deny`; 1 with `--deny` and active findings; 2 on
@@ -17,11 +25,11 @@ mod json;
 mod links;
 mod lints;
 
-use lints::Finding;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
+use tesla_analysis::{count_by_rule, Finding, RuleCounts, Workspace};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -92,6 +100,48 @@ const METRIC_CRATES: [&str; 8] = [
 const REACTOR_CRATES: [&str; 2] = ["crates/reactor/src", "crates/net/src"];
 const SUPERVISOR_PATH: &str = "crates/core/src/supervisor.rs";
 
+/// Each lint rule with the crates it scans.
+const LINT_SCOPES: [(&str, &[&str]); 9] = [
+    (lints::RULE_RAW_F64, &CONTROL_CRATES),
+    (lints::RULE_UNWRAP, &UNWRAP_CRATES),
+    (lints::RULE_RUNG, &RUNG_CRATES),
+    (lints::RULE_SETPOINT, &CONTROL_CRATES),
+    (lints::RULE_METRIC, &METRIC_CRATES),
+    (lints::RULE_WAL, &WAL_CRATES),
+    (lints::RULE_CHECKPOINT, &CHECKPOINT_CRATES),
+    (lints::RULE_REACTOR, &REACTOR_CRATES),
+    (lints::RULE_ZONE_INDEX, &FLEET_CRATES),
+];
+
+/// Every lint finding in the workspace at `root`, sorted by file, line
+/// and rule, and the `Rung` variants the rung rule checked against.
+fn lint_workspace(root: &Path) -> Result<(Vec<Finding>, Vec<String>), String> {
+    let ws = Workspace::from_sources(analyze::workspace_sources(root)?);
+    let variants = ws
+        .paths
+        .iter()
+        .position(|p| p == SUPERVISOR_PATH)
+        .map(|f| lints::rung_variants(&ws.tokens[f]))
+        .unwrap_or_default();
+    if variants.is_empty() {
+        return Err(format!(
+            "failed to extract Rung variants from {SUPERVISOR_PATH}"
+        ));
+    }
+    let mut findings = Vec::new();
+    for (file, path) in ws.paths.iter().enumerate() {
+        let src = lints::Source::new(&ws, file);
+        for (rule, scope) in LINT_SCOPES {
+            if scope.iter().any(|dir| path.starts_with(&format!("{dir}/"))) {
+                findings.extend(lints::check(rule, &src, &variants));
+            }
+        }
+    }
+    findings
+        .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
+    Ok((findings, variants))
+}
+
 fn lint(args: &[String]) -> ExitCode {
     let mut deny = false;
     let mut report_path = PathBuf::from("target/lint-report.json");
@@ -115,131 +165,34 @@ fn lint(args: &[String]) -> ExitCode {
 
     let started = Instant::now();
     let root = workspace_root();
-    let supervisor_src = match fs::read_to_string(root.join(SUPERVISOR_PATH)) {
-        Ok(s) => s,
+    let findings = match lint_workspace(&root) {
+        Ok((findings, _)) => findings,
         Err(e) => {
-            eprintln!("xtask lint: cannot read {SUPERVISOR_PATH}: {e}");
+            eprintln!("xtask lint: {e}");
             return ExitCode::from(2);
         }
     };
-    let variants = lints::rung_variants(&supervisor_src);
-    if variants.is_empty() {
-        eprintln!("xtask lint: failed to extract Rung variants from {SUPERVISOR_PATH}");
-        return ExitCode::from(2);
-    }
-
-    // One job per (rule, file); the file pass fans out across threads
-    // and each worker reads, masks, and checks independently.
-    let mut jobs: Vec<(&'static str, PathBuf, String)> = Vec::new();
-    for (scope, rule) in [
-        (&CONTROL_CRATES[..], lints::RULE_RAW_F64),
-        (&UNWRAP_CRATES[..], lints::RULE_UNWRAP),
-        (&RUNG_CRATES[..], lints::RULE_RUNG),
-        (&CONTROL_CRATES[..], lints::RULE_SETPOINT),
-        (&METRIC_CRATES[..], lints::RULE_METRIC),
-        (&WAL_CRATES[..], lints::RULE_WAL),
-        (&CHECKPOINT_CRATES[..], lints::RULE_CHECKPOINT),
-        (&REACTOR_CRATES[..], lints::RULE_REACTOR),
-        (&FLEET_CRATES[..], lints::RULE_ZONE_INDEX),
-    ] {
-        for dir in scope {
-            for file in rust_files(&root.join(dir)) {
-                let rel = file
-                    .strip_prefix(&root)
-                    .unwrap_or(&file)
-                    .to_string_lossy()
-                    .replace('\\', "/");
-                jobs.push((rule, file, rel));
-            }
-        }
-    }
-    let nthreads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .min(jobs.len().max(1));
-    let chunk = jobs.len().div_ceil(nthreads.max(1)).max(1);
-    let mut findings: Vec<Finding> = Vec::new();
-    let mut errors: Vec<String> = Vec::new();
-    std::thread::scope(|scope| {
-        let variants = &variants;
-        let mut handles = Vec::new();
-        for slice in jobs.chunks(chunk) {
-            handles.push(scope.spawn(move || {
-                let mut out: Vec<Finding> = Vec::new();
-                let mut errs: Vec<String> = Vec::new();
-                for (rule, file, rel) in slice {
-                    let src = match fs::read_to_string(file) {
-                        Ok(s) => s,
-                        Err(e) => {
-                            errs.push(format!("cannot read {rel}: {e}"));
-                            continue;
-                        }
-                    };
-                    let lines: Vec<&str> = src.lines().collect();
-                    let mask = lints::test_line_mask(&lines);
-                    let batch = match *rule {
-                        lints::RULE_RAW_F64 => lints::check_raw_f64(rel, &lines, &mask),
-                        lints::RULE_UNWRAP => lints::check_unwrap(rel, &lines, &mask),
-                        lints::RULE_RUNG => lints::check_rung_matches(rel, &lines, &mask, variants),
-                        lints::RULE_METRIC => lints::check_metric_names(rel, &lines, &mask),
-                        lints::RULE_WAL => lints::check_wal_reads(rel, &lines, &mask),
-                        lints::RULE_CHECKPOINT => lints::check_checkpoint_reads(rel, &lines, &mask),
-                        lints::RULE_REACTOR => lints::check_reactor_blocking(rel, &lines, &mask),
-                        lints::RULE_ZONE_INDEX => lints::check_zone_index(rel, &lines, &mask),
-                        _ => lints::check_setpoint_literal(rel, &lines, &mask),
-                    };
-                    out.extend(batch);
-                }
-                (out, errs)
-            }));
-        }
-        for h in handles {
-            let (out, errs) = h.join().expect("lint worker thread panicked");
-            findings.extend(out);
-            errors.extend(errs);
-        }
-    });
-    if !errors.is_empty() {
-        for e in &errors {
-            eprintln!("xtask lint: {e}");
-        }
-        return ExitCode::from(2);
-    }
-    findings
-        .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
-
-    let active: Vec<&Finding> = findings.iter().filter(|f| !f.allowed).collect();
-    let allowed_count = findings.len() - active.len();
-
-    for f in &active {
+    let counts = count_by_rule(&lints::ALL_RULES, &findings);
+    let active: usize = counts.active.values().sum();
+    for f in findings.iter().filter(|f| !f.allowed) {
         println!("{}:{}: [{}] {}", f.file, f.line, f.rule, f.message);
     }
     println!(
-        "xtask lint: {} finding(s), {} allowlisted, rules: {}",
-        active.len(),
-        allowed_count,
+        "xtask lint: {active} finding(s), {} allowlisted, rules: {}",
+        findings.len() - active,
         lints::ALL_RULES.join(", ")
     );
 
-    let report = render_report(&findings, started.elapsed().as_secs_f64());
-    let report_abs = if report_path.is_absolute() {
-        report_path.clone()
-    } else {
-        root.join(&report_path)
-    };
-    if let Some(parent) = report_abs.parent() {
-        if let Err(e) = fs::create_dir_all(parent) {
-            eprintln!("xtask lint: cannot create {}: {e}", parent.display());
+    let report = render_report(&findings, &counts, started.elapsed().as_secs_f64());
+    match write_file(&root, &report_path, &report) {
+        Ok(path) => println!("xtask lint: report written to {}", path.display()),
+        Err(e) => {
+            eprintln!("xtask lint: {e}");
             return ExitCode::from(2);
         }
     }
-    if let Err(e) = fs::write(&report_abs, report) {
-        eprintln!("xtask lint: cannot write {}: {e}", report_abs.display());
-        return ExitCode::from(2);
-    }
-    println!("xtask lint: report written to {}", report_abs.display());
 
-    if deny && !active.is_empty() {
+    if deny && active > 0 {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
@@ -379,28 +332,60 @@ fn rust_files(dir: &Path) -> Vec<PathBuf> {
     out
 }
 
-/// Hand-rolled JSON (the workspace has no serde): findings plus summary
-/// counts and wall time, stable key order.
-fn render_report(findings: &[Finding], wall_time_seconds: f64) -> String {
-    let active = findings.iter().filter(|f| !f.allowed).count();
+/// Writes `body` to `path` (relative to `root` unless absolute),
+/// creating its directory; returns the path written.
+fn write_file(root: &Path, path: &Path, body: &str) -> Result<PathBuf, String> {
+    let path = root.join(path);
+    if let Some(parent) = path.parent() {
+        fs::create_dir_all(parent)
+            .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
+    }
+    fs::write(&path, body).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    Ok(path)
+}
+
+/// The JSON report `lint` and `analyze` both write, hand-rolled (the
+/// workspace has no serde) in a stable key order: every finding, the
+/// active and allowlisted counts in total and per rule, and wall time.
+fn render_report(findings: &[Finding], counts: &RuleCounts, wall_time_seconds: f64) -> String {
     let mut s = String::from("{\n  \"findings\": [\n");
     for (i, f) in findings.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"allowed\": {}, \"message\": \"{}\"}}{}\n",
+            "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"allowed\": {}, \
+             \"message\": \"{}\", \"witness\": \"{}\"}}{}\n",
             json_escape(f.rule),
             json_escape(&f.file),
             f.line,
             f.allowed,
             json_escape(&f.message),
+            json_escape(&f.witness),
             if i + 1 < findings.len() { "," } else { "" }
         ));
     }
+    let active: usize = counts.active.values().sum();
+    let allowed: usize = counts.allowed.values().sum();
+    let rules: std::collections::BTreeSet<&str> = counts
+        .active
+        .keys()
+        .chain(counts.allowed.keys())
+        .copied()
+        .collect();
+    let per_rule: Vec<String> = rules
+        .iter()
+        .map(|rule| {
+            format!(
+                "    \"{}\": {{\"active\": {}, \"allowed\": {}}}",
+                json_escape(rule),
+                counts.active.get(rule).unwrap_or(&0),
+                counts.allowed.get(rule).unwrap_or(&0)
+            )
+        })
+        .collect();
     s.push_str(&format!(
-        "  ],\n  \"counts\": {{\"active\": {}, \"allowed\": {}, \"total\": {}}},\n  \
-         \"wall_time_seconds\": {wall_time_seconds:.3}\n}}\n",
-        active,
-        findings.len() - active,
-        findings.len()
+        "  ],\n  \"counts\": {{\"active\": {active}, \"allowed\": {allowed}, \"total\": {}}},\n  \
+         \"rules\": {{\n{}\n  }},\n  \"wall_time_seconds\": {wall_time_seconds:.3}\n}}\n",
+        active + allowed,
+        per_rule.join(",\n")
     ));
     s
 }
@@ -431,9 +416,11 @@ mod tests {
             file: "crates/core/src/x.rs".to_string(),
             line: 3,
             message: "unwrap() in control path".to_string(),
+            witness: String::new(),
             allowed: false,
         }];
-        let json = render_report(&findings, 1.5);
+        let counts = count_by_rule(&lints::ALL_RULES, &findings);
+        let json = render_report(&findings, &counts, 1.5);
         assert!(json.contains("\"rule\": \"no-unwrap-in-control-path\""));
         assert!(json.contains("\"line\": 3"));
         assert!(json.contains("\"counts\": {\"active\": 1, \"allowed\": 0, \"total\": 1}"));
@@ -459,6 +446,17 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The lint gate over the real workspace: no active finding, and the
+    /// rung rule saw the ladder. A new `.unwrap()` in `crates/core` fails
+    /// here.
+    #[test]
+    fn real_workspace_lints_clean() {
+        let (findings, variants) = lint_workspace(&workspace_root()).expect("workspace lints");
+        assert!(!variants.is_empty(), "no Rung variants found");
+        let active: Vec<_> = findings.iter().filter(|f| !f.allowed).collect();
+        assert!(active.is_empty(), "active lint findings: {active:?}");
     }
 
     #[test]
